@@ -422,7 +422,9 @@ Result<Executor::ExecutionResult> Executor::Execute(
     const Augmentation& aug, const Plan& plan,
     const Options& options) const {
   if (options.verify_plans) {
-    HYPPO_RETURN_NOT_OK(VerifyPlanStructure(aug, aug.targets, plan));
+    HYPPO_RETURN_NOT_OK(VerifyPlanStructure(
+        aug, options.targets != nullptr ? *options.targets : aug.targets,
+        plan));
   }
   if (!options.simulate && options.parallelism > 1) {
     return ExecuteParallel(aug, plan, options);

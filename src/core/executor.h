@@ -61,6 +61,10 @@ class Executor {
     /// augmentation (src/analysis) before executing anything. Fails with
     /// Internal on a broken plan instead of executing it.
     bool verify_plans = false;
+    /// Targets `verify_plans` requires the plan to reach. Null checks the
+    /// augmentation's own targets; a batch member points this at its own
+    /// targets so it can run against the shared merged augmentation.
+    const std::vector<NodeId>* targets = nullptr;
     /// Charge compute tasks their augmentation estimate (edge_seconds)
     /// instead of measured wall time, while still executing operators for
     /// real. Makes `total_seconds` bit-identical across runs and across

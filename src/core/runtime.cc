@@ -41,7 +41,9 @@ class CatalogWriteLock {
   std::shared_mutex* mutex_;
 };
 
-bool StaticPlanPrecheck(const Augmentation& aug, const Plan& plan) {
+bool StaticPlanPrecheck(const Augmentation& aug,
+                        const std::vector<NodeId>& targets,
+                        const Plan& plan) {
   const analysis::StaticAnalyzer analyzer;
   analysis::AnalysisReport report =
       analyzer.CheckCostMonotonicity(aug.edge_weight, aug.edge_seconds);
@@ -49,7 +51,7 @@ bool StaticPlanPrecheck(const Augmentation& aug, const Plan& plan) {
   spec.graph = &aug.graph.hypergraph();
   spec.edges = &plan.edges;
   spec.source = aug.graph.source();
-  spec.targets = &aug.targets;
+  spec.targets = &targets;
   spec.edge_weight = &aug.edge_weight;
   spec.claimed_cost = plan.cost;
   spec.edge_seconds = &aug.edge_seconds;
@@ -157,19 +159,21 @@ Status Runtime::DegradeAfterFailures(
 }
 
 Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
-    const Augmentation& aug, const Plan& plan, const Replanner& replan,
+    const Augmentation& aug, const std::vector<NodeId>& targets,
+    const Plan& plan, const Replanner& replan,
     std::map<NodeId, ArtifactPayload>* batch_payloads) {
   Executor::Options exec_options;
   exec_options.simulate = options_.simulate;
   exec_options.parallelism = options_.parallelism;
   exec_options.kernel_threads = options_.kernel_threads;
   exec_options.verify_plans = options_.verify_plans;
+  exec_options.targets = &targets;
   exec_options.fault_injector = fault_injector_.get();
 
   // Statically-cleared plans skip the executor's re-verification: the
   // pre-check proves the same invariants once, up front. Plans the
   // pre-check cannot clear fall back to the configured behavior.
-  if (options_.static_checks && StaticPlanPrecheck(aug, plan)) {
+  if (options_.static_checks && StaticPlanPrecheck(aug, targets, plan)) {
     monitor_.RecordStaticClear();
     if (exec_options.verify_plans) {
       exec_options.verify_plans = false;
@@ -194,9 +198,10 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
   }
 
   // Attempt 0 runs the caller's plan. On failures, recovery degrades a
-  // copy of the augmentation (node/edge ids stay stable under edge
-  // removal, so payloads and task runs keep referring to `aug`), re-plans,
-  // and re-executes seeded with every surviving payload.
+  // copy of the augmentation that takes the caller's `targets` (node/edge
+  // ids stay stable under edge removal, so payloads and task runs keep
+  // referring to `aug`), re-plans, and re-executes seeded with every
+  // surviving payload.
   Augmentation degraded;
   const Augmentation* current_aug = &aug;
   Plan current_plan = plan;
@@ -231,6 +236,7 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
     }
     if (attempt == 0) {
       degraded = aug;
+      degraded.targets = targets;
       current_aug = &degraded;
     }
     {
@@ -249,7 +255,7 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
     // deciding whether this attempt may skip the executor verification.
     exec_options.verify_plans = options_.verify_plans;
     if (options_.static_checks &&
-        StaticPlanPrecheck(degraded, current_plan)) {
+        StaticPlanPrecheck(degraded, targets, current_plan)) {
       monitor_.RecordStaticClear();
       if (exec_options.verify_plans) {
         exec_options.verify_plans = false;
@@ -416,12 +422,12 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteAndRecord(
     CatalogWriteLock commit(catalog_mutex_);
     HYPPO_RETURN_NOT_OK(RecordPipelineStructure(pipeline));
   }
-  return ExecuteInternal(aug, plan, replan);
+  return ExecuteInternal(aug, aug.targets, plan, replan);
 }
 
 Result<Runtime::ExecutionRecord> Runtime::ExecutePlanOnly(
     const Augmentation& aug, const Plan& plan, const Replanner& replan) {
-  return ExecuteInternal(aug, plan, replan);
+  return ExecuteInternal(aug, aug.targets, plan, replan);
 }
 
 void Runtime::PinArtifacts(const std::vector<std::string>& names) {
@@ -499,23 +505,21 @@ Result<Runtime::BatchExecutionRecord> Runtime::RunBatch(
   // (every member plan shares that id space).
   std::map<NodeId, ArtifactPayload> accumulated;
   for (size_t i = 0; i < members.size(); ++i) {
-    // Member view: same graph and weights (so node/edge ids and the seed
-    // map carry over), but the member's own targets — plan verification
-    // and recovery re-planning must only require THIS member's work.
-    Augmentation view = merged;
-    view.targets = members[i].targets;
+    // Every member runs against `merged` itself (so node/edge ids and the
+    // seed map carry over) with its own targets — plan verification and
+    // recovery re-planning must only require THIS member's work.
     // Seed only payloads the member's plan actually touches: the commit
     // phase records an access per surviving payload, and an unrelated
     // sibling artifact must not inherit this member's access.
     std::map<NodeId, ArtifactPayload> seed;
     for (EdgeId e : members[i].plan.edges) {
-      for (NodeId t : view.graph.ordered_tail(e)) {
+      for (NodeId t : merged.graph.ordered_tail(e)) {
         const auto it = accumulated.find(t);
         if (it != accumulated.end()) {
           seed.insert(*it);
         }
       }
-      for (NodeId h : view.graph.ordered_head(e)) {
+      for (NodeId h : merged.graph.ordered_head(e)) {
         const auto it = accumulated.find(h);
         if (it != accumulated.end()) {
           seed.insert(*it);
@@ -524,7 +528,8 @@ Result<Runtime::BatchExecutionRecord> Runtime::RunBatch(
     }
     HYPPO_ASSIGN_OR_RETURN(
         ExecutionRecord record,
-        ExecuteInternal(view, members[i].plan, replan, &seed));
+        ExecuteInternal(merged, members[i].targets, members[i].plan, replan,
+                        &seed));
     for (auto& [node, payload] : seed) {
       accumulated[node] = std::move(payload);
     }

@@ -221,7 +221,10 @@ class Runtime {
   /// Executes a batch planned by BatchPlanner::PlanBatch: member plans run
   /// in submission order over the shared merged augmentation, each seeded
   /// with every payload earlier members produced, so shared-prefix tasks
-  /// execute exactly once per batch. Every member pipeline's structure is
+  /// execute exactly once per batch. Every member reads `merged` by
+  /// reference with its own MemberPlan::targets; a successful batch copies
+  /// no Augmentation, and a failing member's recovery copies `merged` once
+  /// with that member's targets. Every member pipeline's structure is
   /// recorded up front (per-member access counts are what give shared
   /// artifacts their batch-wide fan-out in the materializer's scoring),
   /// and all artifacts of the merged augmentation are pinned against
@@ -260,6 +263,14 @@ class Runtime {
   /// are evicted, store entries the history does not claim (or whose
   /// size drifted) are dropped.
   Status RestoreSession();
+  /// Executes `plan` over `aug` on behalf of a caller whose goal is
+  /// `targets`: the static pre-check and the executor's plan verification
+  /// require exactly these targets, not `aug.targets`. Single-pipeline
+  /// callers pass `aug.targets`; a batch member passes its own targets
+  /// while reading the shared merged augmentation by const reference.
+  /// Only recovery copies `aug`: the degraded copy takes `targets` before
+  /// it is handed to `replan`.
+  ///
   /// `batch_payloads`, when non-null, is the batch accumulator: its
   /// entries seed the first attempt (tasks whose outputs are all present
   /// are skipped and counted into ExecutionRecord::seeded_tasks), and on
@@ -267,7 +278,8 @@ class Runtime {
   /// Keys are node ids of `aug`, so every member of a batch must execute
   /// against the same merged augmentation's id space.
   Result<ExecutionRecord> ExecuteInternal(
-      const Augmentation& aug, const Plan& plan, const Replanner& replan,
+      const Augmentation& aug, const std::vector<NodeId>& targets,
+      const Plan& plan, const Replanner& replan,
       std::map<NodeId, ArtifactPayload>* batch_payloads = nullptr);
   /// Pins canonical artifact names against History::Compact for the
   /// lifetime of an in-flight batch (multiset: overlapping batches pin

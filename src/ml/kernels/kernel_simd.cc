@@ -7,15 +7,13 @@
 //
 // Backend selection (compile time):
 //   1. AVX2/FMA intrinsics when the TU is compiled with __AVX2__ &&
-//      __FMA__. Intrinsics are preferred over std::experimental::simd
-//      here because GCC's fixed_size_simd ABI passes vectors through
-//      memory and costs ~3x on the GEMM micro-kernel (measured: 3.5 vs
-//      9.9 GFLOPS at 512^3, identical bits).
-//   2. std::experimental::simd when the header exists (GCC >= 11,
-//      recent Clang) — the portable vector backend for generic builds.
-//   3. a scalar 8-lane bank otherwise (the everywhere-compiles fallback;
-//      std::fma keeps its numerics identical to the vector backends).
-// HYPPO_SIMD_SCALAR_ONLY (the HYPPO_SIMD_ISA=off build) forces 3.
+//      __FMA__ (the avx2 and avx512 ISA builds).
+//   2. a scalar 8-lane bank otherwise (generic builds; std::fma keeps
+//      its numerics identical to the intrinsics backend).
+// HYPPO_SIMD_SCALAR_ONLY (the HYPPO_SIMD_ISA=off build) forces 2.
+// There is deliberately no std::experimental::simd backend: GCC's
+// fixed_size_simd ABI passes vectors through memory and measured 3.5
+// against 9.9 GFLOPS for the intrinsics on the 512^3 GEMM micro-kernel.
 //
 // Determinism: every kernel fixes its per-output-element operation
 // sequence — matrix kernels accumulate in ascending reduction-index
@@ -24,8 +22,7 @@
 // the scalar tail execute the *same* per-element fma chain, so results
 // do not depend on where chunk boundaries fall — which is what makes the
 // parallel row split (dispatch(1) == dispatch(N)) bitwise safe at any
-// partition. All three backends produce identical bits for identical
-// inputs.
+// partition. Both backends produce identical bits for identical inputs.
 
 #include <algorithm>
 #include <cmath>
@@ -38,13 +35,6 @@
 #define HYPPO_SIMD_BACKEND_AVX2 1
 #include <immintrin.h>
 #endif
-#if !defined(HYPPO_SIMD_BACKEND_AVX2) && \
-    !defined(HYPPO_SIMD_SCALAR_ONLY) && defined(__has_include)
-#if __has_include(<experimental/simd>)
-#define HYPPO_SIMD_BACKEND_STDSIMD 1
-#include <experimental/simd>
-#endif
-#endif
 
 namespace hyppo::ml::kernels::simd {
 
@@ -52,39 +42,12 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Vec8: a fixed 8-lane double vector. The lane count is a tier constant,
-// not the native register width — AVX2 builds use two 256-bit registers,
-// AVX-512 builds one 512-bit register, scalar builds an array — so the
+// not the native register width — AVX2 and AVX-512 builds use two
+// 256-bit registers, generic builds an array of scalars — so the
 // accumulation order (and therefore the bits) never depends on which
 // backend or ISA the build selected.
 
-#if defined(HYPPO_SIMD_BACKEND_STDSIMD)
-
-namespace stdx = std::experimental;
-
-struct Vec8 {
-  stdx::fixed_size_simd<double, 8> v;
-
-  static Vec8 Zero() { return {stdx::fixed_size_simd<double, 8>(0.0)}; }
-  static Vec8 Broadcast(double s) {
-    return {stdx::fixed_size_simd<double, 8>(s)};
-  }
-  static Vec8 Load(const double* p) {
-    return {stdx::fixed_size_simd<double, 8>(p, stdx::element_aligned)};
-  }
-  void Store(double* p) const { v.copy_to(p, stdx::element_aligned); }
-  double Lane(int i) const { return v[i]; }
-  static Vec8 Add(const Vec8& a, const Vec8& b) { return {a.v + b.v}; }
-  static Vec8 Sub(const Vec8& a, const Vec8& b) { return {a.v - b.v}; }
-  static Vec8 Mul(const Vec8& a, const Vec8& b) { return {a.v * b.v}; }
-  /// a * b + c, fused (single rounding) in every lane.
-  static Vec8 Fma(const Vec8& a, const Vec8& b, const Vec8& c) {
-    return {stdx::fma(a.v, b.v, c.v)};
-  }
-};
-
-constexpr const char* kBackendName = "stdsimd";
-
-#elif defined(HYPPO_SIMD_BACKEND_AVX2)
+#if defined(HYPPO_SIMD_BACKEND_AVX2)
 
 struct Vec8 {
   __m256d lo;

@@ -17,8 +17,7 @@ namespace hyppo::ml::kernels {
 ///                 them without -ffast-math (independent output lanes, or
 ///                 manually unrolled accumulator banks for reductions).
 ///  - `simd::*`    explicitly vectorized implementations built on
-///                 std::experimental::simd where available, AVX2/FMA
-///                 intrinsics behind a feature macro otherwise, and a
+///                 AVX2/FMA intrinsics behind a feature macro, and a
 ///                 scalar lane-banked fallback everywhere else. The one
 ///                 translation unit (kernel_simd.cc) is compiled with the
 ///                 ISA flags selected by the HYPPO_SIMD_ISA CMake cache
@@ -241,7 +240,7 @@ double ShiftedSumSq(const double* x, double shift, int64_t n);
 void SumAndSumSq(const double* x, int64_t n, double* sum, double* sum_sq);
 
 /// Name of the backend this build's simd tier vectorizes with:
-/// "stdsimd", "avx2-intrinsics", or "scalar-banked".
+/// "avx2-intrinsics" or "scalar-banked".
 const char* BackendName();
 
 }  // namespace simd

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
@@ -14,6 +15,7 @@
 #include "analysis/verifier.h"
 #include "baselines/no_optimization.h"
 #include "core/batch_planner.h"
+#include "core/executor.h"
 #include "core/hyppo.h"
 #include "serving/session_manager.h"
 #include "storage/serialization.h"
@@ -228,6 +230,102 @@ TEST(BatchPlannerTest, PlanBatchCoversEveryMembersTargets) {
   // Monitor plumbing: the batch counters moved.
   EXPECT_GT(system.runtime().monitor().num_batch_merged_tasks(), 0);
   EXPECT_GT(system.runtime().monitor().batch_plan_seconds(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Member targets: a batch member runs against the shared merged
+// augmentation, whose own targets are the union over all members, so
+// plan verification must be handed the member's targets explicitly.
+
+// `plan` without the edges that produce `target`, with its claimed cost and
+// seconds re-summed so the missing target is its only defect.
+core::Plan DropProducer(const core::Augmentation& aug, const core::Plan& plan,
+                        NodeId target) {
+  core::Plan broken;
+  for (EdgeId e : plan.edges) {
+    const std::vector<NodeId>& heads = aug.graph.ordered_head(e);
+    if (std::find(heads.begin(), heads.end(), target) != heads.end()) {
+      continue;
+    }
+    broken.edges.push_back(e);
+    broken.cost += aug.edge_weight[static_cast<size_t>(e)];
+    broken.seconds += aug.edge_seconds[static_cast<size_t>(e)];
+  }
+  return broken;
+}
+
+TEST(BatchTargetsTest, MemberTargetsReachExecutorAndStaticPrecheck) {
+  core::HyppoSystem::Options options = SystemOptions(true);
+  options.runtime.simulate = true;  // verification runs before any task
+  ASSERT_TRUE(options.runtime.verify_plans);
+  ASSERT_TRUE(options.runtime.static_checks);
+  core::HyppoSystem system(options);
+  RegisterSweepDataset(&system.runtime());
+  auto generator = MakeGenerator();
+  auto workload = generator.DemoSweep(3, "targets");
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  auto planned = system.method().PlanPipelineBatch(workload->pipelines);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  const core::Augmentation& merged = planned->merged;
+  const core::BatchPlanner::MemberPlan& member = planned->members[0];
+  // Test premise: the merged augmentation's own targets are the union
+  // over all members, a strict superset of this member's.
+  ASSERT_GT(merged.targets.size(), member.targets.size());
+  const core::Plan broken = DropProducer(merged, member.plan,
+                                         member.targets.front());
+  ASSERT_LT(broken.edges.size(), member.plan.edges.size());
+
+  // Executor: Options::targets overrides the augmentation's targets.
+  storage::InMemoryArtifactStore store;
+  core::Monitor monitor;
+  core::Executor executor(&store, /*resolver=*/nullptr, &monitor);
+  core::Executor::Options exec_options;
+  exec_options.simulate = true;
+  exec_options.verify_plans = true;
+  exec_options.targets = &member.targets;
+  auto covered = executor.Execute(merged, member.plan, exec_options);
+  EXPECT_TRUE(covered.ok()) << covered.status();
+  auto missing = executor.Execute(merged, broken, exec_options);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_TRUE(missing.status().IsInternal()) << missing.status();
+  EXPECT_NE(missing.status().ToString().find("missing-target"),
+            std::string::npos)
+      << missing.status();
+  // Without the override the executor checks the merged targets, which
+  // one member's plan cannot cover.
+  exec_options.targets = nullptr;
+  EXPECT_FALSE(executor.Execute(merged, member.plan, exec_options).ok());
+
+  // Runtime: every member's plan clears the static pre-check against its
+  // own targets, so each one skips the executor re-verification.
+  const core::Monitor& runtime_monitor = system.runtime().monitor();
+  const int64_t clears_before = runtime_monitor.num_static_clears();
+  const int64_t skips_before = runtime_monitor.num_plan_checks_skipped();
+  auto batch = system.runtime().RunBatch(workload->pipelines, merged,
+                                         planned->members);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  const auto num_members = static_cast<int64_t>(planned->members.size());
+  EXPECT_EQ(runtime_monitor.num_static_clears() - clears_before,
+            num_members);
+  EXPECT_EQ(runtime_monitor.num_plan_checks_skipped() - skips_before,
+            num_members);
+
+  // A member plan missing one of its targets fails the static pre-check
+  // (no clear, no skipped check), and the executor's verification then
+  // rejects it before anything runs.
+  std::vector<core::BatchPlanner::MemberPlan> members = planned->members;
+  members[0].plan = broken;
+  const int64_t clears_mid = runtime_monitor.num_static_clears();
+  const int64_t skips_mid = runtime_monitor.num_plan_checks_skipped();
+  auto rejected =
+      system.runtime().RunBatch(workload->pipelines, merged, members);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsInternal()) << rejected.status();
+  EXPECT_NE(rejected.status().ToString().find("missing-target"),
+            std::string::npos)
+      << rejected.status();
+  EXPECT_EQ(runtime_monitor.num_static_clears(), clears_mid);
+  EXPECT_EQ(runtime_monitor.num_plan_checks_skipped(), skips_mid);
 }
 
 // ---------------------------------------------------------------------------
