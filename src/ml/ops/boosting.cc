@@ -11,8 +11,9 @@ namespace hyppo::ml {
 namespace {
 
 // GradientBoostingRegressor: stage-wise least-squares boosting.
-// skl grows exact trees; lgb grows histogram trees (the LightGBM the
-// paper's setup uses). F0 = mean(y); each stage fits a shallow tree to the
+// skl grows exact trees (each stage sorts every feature once, at the root,
+// since the residual targets change); lgb grows histogram trees (the
+// LightGBM the paper's setup uses). F0 = mean(y); each stage fits a shallow tree to the
 // residuals and is added with the learning rate.
 class GradientBoostingOp final : public Estimator {
  public:

@@ -11,7 +11,8 @@ namespace hyppo::ml {
 namespace {
 
 // RandomForestClassifier / RandomForestRegressor: bagging over decision
-// trees with per-tree feature subsampling. skl grows exact trees; lgb grows
+// trees with per-node feature subsampling. skl grows exact trees, which
+// sort a feature at the first node on each path that samples it; lgb grows
 // histogram trees. Deterministic given the `seed` config.
 class RandomForestOp final : public Estimator {
  public:

@@ -18,10 +18,12 @@ struct TreeOptions {
   /// Number of features considered per split; 0 means all. Forests set
   /// this for feature subsampling.
   int64_t max_features = 0;
-  /// Split finding strategy: exact sorts feature values per node
-  /// (scikit-learn-style); histogram bins features globally and scans bins
-  /// (LightGBM-style). The two strategies yield statistically equivalent
-  /// but not bitwise-identical trees.
+  /// Split finding strategy: exact scans every boundary between distinct
+  /// feature values (scikit-learn-style), sorting a feature at the first
+  /// node on each path that considers it and partitioning the sorted lists
+  /// at each split; histogram bins features globally and scans bins
+  /// (LightGBM-style). The two strategies
+  /// yield statistically equivalent but not bitwise-identical trees.
   bool histogram = false;
   int32_t max_bins = 64;
   /// Classification uses gini impurity over binary labels; regression uses
@@ -32,8 +34,11 @@ struct TreeOptions {
   uint64_t seed = 1;
 };
 
-/// \brief Builds one decision tree on `rows` (indices into `data`) against
-/// `targets` (size data.rows(); typically data.target() or residuals).
+/// \brief Builds one decision tree on `rows` (indices into `data`, repeats
+/// allowed) against `targets` (size data.rows(); typically data.target() or
+/// residuals). Returns InvalidArgument for a row id outside
+/// [0, data.rows()) or a dataset of more than 2^32-1 rows. A NaN feature
+/// value never becomes a threshold: NaN rows go to the right child.
 Result<FlatTree> BuildTree(const Dataset& data,
                            const std::vector<double>& targets,
                            const std::vector<int64_t>& rows,

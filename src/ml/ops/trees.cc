@@ -10,9 +10,9 @@ namespace hyppo::ml {
 namespace {
 
 // DecisionTreeClassifier / DecisionTreeRegressor.
-// skl: exact sort-based split finding. lgb: histogram split finding
-// (LightGBM-style). Classifier leaves hold positive-class fractions, so
-// predictions are probabilities.
+// skl: exact split finding over features sorted once per tree, at the
+// root. lgb: histogram split finding (LightGBM-style). Classifier leaves hold
+// positive-class fractions, so predictions are probabilities.
 class DecisionTreeOp final : public Estimator {
  public:
   DecisionTreeOp(std::string logical_op, std::string framework,

@@ -13,6 +13,10 @@ SessionManager::SessionManager(ServingOptions options)
     : options_(std::move(options)),
       runtime_(std::make_unique<core::Runtime>(options_.runtime)) {
   runtime_->set_catalog_mutex(&catalog_mutex_);
+  // Commits under the catalog writer lock only touch the store's index;
+  // each session writes its payloads to disk after releasing the lock
+  // (see RunSession).
+  runtime_->store().EnableWriteBehind();
   if (options_.fault_rate > 0.0) {
     runtime_->EnableFaultInjection(storage::FaultPlan::Uniform(
         options_.fault_seed, options_.fault_rate));
@@ -256,6 +260,12 @@ SessionReport SessionManager::RunSession(const SessionRequest& request) {
       }
     }
     ++report.pipelines_completed;
+  }
+  // DURABLE: the session's store writes, outside the catalog lock, so a
+  // disk write never stalls other sessions' planning and commits.
+  const Status flushed = runtime_->store().Flush();
+  if (report.status.ok() && !flushed.ok()) {
+    report.status = flushed;
   }
   Release();
   report.wall_seconds = total.Elapsed();

@@ -128,7 +128,10 @@ class SessionManager {
 
   /// Runs one session's sequence to completion on the calling thread
   /// (blocks in the admission queue when the gate is full). Thread-safe:
-  /// sessions run concurrently from any number of threads.
+  /// sessions run concurrently from any number of threads. With a durable
+  /// store, the session's stored artifacts are on disk when it returns:
+  /// the store runs in write-behind mode, and each session flushes it
+  /// after its last commit, outside the catalog lock.
   SessionReport RunSession(const SessionRequest& request);
 
   /// Runs every request on its own thread and returns the reports in

@@ -104,6 +104,14 @@ class ArtifactStore {
   /// without affecting the bookkeeping entry points above.
   virtual Result<Loaded> Load(const std::string& key) const;
 
+  /// Write-behind for stores with durable state: from now on, Put and
+  /// Evict change the index at once (every read sees them) and leave the
+  /// disk work to Flush(), so a caller holding a lock can do the I/O
+  /// after releasing it. Stores without durable state ignore both calls.
+  virtual void EnableWriteBehind() {}
+  /// Makes every Put and Evict deferred so far durable.
+  virtual Status Flush() { return Status::OK(); }
+
   double LoadSeconds(int64_t bytes) const { return tier().LoadSeconds(bytes); }
   double StoreSeconds(int64_t bytes) const {
     return tier().StoreSeconds(bytes);

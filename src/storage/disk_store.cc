@@ -89,6 +89,7 @@ DiskArtifactStore::DiskArtifactStore(std::string directory, StorageTier tier)
 }
 
 DiskArtifactStore::~DiskArtifactStore() {
+  (void)Flush();  // best effort for write-behind changes
   if (lock_fd_ >= 0) {
     ::flock(lock_fd_, LOCK_UN);
     ::close(lock_fd_);
@@ -185,6 +186,7 @@ Status DiskArtifactStore::Recover() {
           static_cast<int64_t>(on_disk) != entry.payload_bytes) {
         continue;
       }
+      entry.on_disk = true;
       used_bytes_ += entry.size_bytes;
       payload_bytes_ += entry.payload_bytes;
       entries_.emplace(std::move(key), std::move(entry));
@@ -216,8 +218,15 @@ Status DiskArtifactStore::WriteManifestLocked() {
   BinaryWriter writer;
   writer.WriteU32(kManifestMagic);
   writer.WriteU32(kManifestVersion);
-  writer.WriteU64(entries_.size());
+  uint64_t count = 0;
   for (const auto& [key, entry] : entries_) {
+    count += entry.on_disk ? 1 : 0;
+  }
+  writer.WriteU64(count);
+  for (const auto& [key, entry] : entries_) {
+    if (!entry.on_disk) {
+      continue;  // write-behind version not flushed yet
+    }
     writer.WriteString(key);
     writer.WriteString(entry.file);
     writer.WriteI64(entry.size_bytes);
@@ -228,12 +237,30 @@ Status DiskArtifactStore::WriteManifestLocked() {
   BinaryWriter trailer;
   trailer.WriteU64(Fnv1a64(bytes));
   bytes += trailer.Take();
-  return WriteFileAtomic(ManifestPath(), bytes);
+  const Status written = WriteFileAtomic(ManifestPath(), bytes);
+  manifest_stale_ = !written.ok();
+  return written;
 }
 
 Status DiskArtifactStore::Put(const std::string& key, ArtifactPayload payload,
                               int64_t size_bytes) {
   HYPPO_RETURN_NOT_OK(init_status_);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (write_behind_) {
+      auto [it, inserted] = entries_.try_emplace(key);
+      Entry& entry = it->second;
+      if (inserted) {
+        entry.file = FileNameForKey(key);
+      }
+      used_bytes_ += size_bytes - entry.size_bytes;
+      entry.size_bytes = size_bytes;
+      entry.has_pending = true;
+      entry.pending = std::move(payload);
+      entry.version = ++next_version_;
+      return Status::OK();
+    }
+  }
   HYPPO_ASSIGN_OR_RETURN(std::string bytes, SerializePayload(payload));
   const uint64_t checksum = Fnv1a64(bytes);
 
@@ -243,7 +270,9 @@ Status DiskArtifactStore::Put(const std::string& key, ArtifactPayload payload,
   entry.size_bytes = size_bytes;
   entry.payload_bytes = static_cast<int64_t>(bytes.size());
   entry.checksum = checksum;
+  entry.on_disk = true;
   HYPPO_RETURN_NOT_OK(WriteFileAtomic(PayloadPath(entry.file), bytes));
+  evicted_files_.erase(entry.file);
 
   auto it = entries_.find(key);
   const bool existed = it != entries_.end();
@@ -273,7 +302,90 @@ Status DiskArtifactStore::Put(const std::string& key, ArtifactPayload payload,
     }
     return manifest;
   }
+  RemoveEvictedFilesLocked();
   return Status::OK();
+}
+
+void DiskArtifactStore::EnableWriteBehind() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  write_behind_ = true;
+}
+
+Status DiskArtifactStore::Flush() {
+  std::lock_guard<std::mutex> flush_lock(flush_mutex_);
+  struct Write {
+    std::string key;
+    std::string file;
+    ArtifactPayload payload;
+    uint64_t version = 0;
+    int64_t payload_bytes = 0;
+    uint64_t checksum = 0;
+  };
+  std::vector<Write> writes;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [key, entry] : entries_) {
+      if (entry.has_pending) {
+        writes.push_back({key, entry.file, entry.pending, entry.version});
+      }
+    }
+    if (writes.empty() && evicted_files_.empty() && !manifest_stale_) {
+      return Status::OK();
+    }
+  }
+  // Encode and write without the index lock: reads, Puts and Evicts go
+  // on meanwhile, and whatever they change is settled below.
+  Status status;
+  std::vector<Write> written;
+  for (Write& write : writes) {
+    Result<std::string> bytes = SerializePayload(write.payload);
+    Status wrote = bytes.status();
+    if (wrote.ok()) {
+      wrote = WriteFileAtomic(PayloadPath(write.file), *bytes);
+    }
+    if (!wrote.ok()) {
+      if (status.ok()) {
+        status = wrote;  // stays pending for the next Flush()
+      }
+      continue;
+    }
+    write.payload_bytes = static_cast<int64_t>(bytes->size());
+    write.checksum = Fnv1a64(*bytes);
+    written.push_back(std::move(write));
+  }
+
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const Write& write : written) {
+    auto it = entries_.find(write.key);
+    if (it == entries_.end()) {
+      evicted_files_.insert(write.file);  // evicted while being written
+      continue;
+    }
+    // The file holds this version now, even if a newer one is pending.
+    Entry& entry = it->second;
+    payload_bytes_ += write.payload_bytes - entry.payload_bytes;
+    entry.on_disk = true;
+    entry.payload_bytes = write.payload_bytes;
+    entry.checksum = write.checksum;
+    evicted_files_.erase(entry.file);
+    if (entry.version == write.version) {
+      entry.has_pending = false;
+      entry.pending = ArtifactPayload();
+    }
+  }
+  HYPPO_RETURN_NOT_OK(WriteManifestLocked());
+  RemoveEvictedFilesLocked();
+  return status;
+}
+
+void DiskArtifactStore::RemoveEvictedFilesLocked() {
+  // Losing the race to delete a file only leaves an orphan for the next
+  // recovery pass.
+  std::error_code ec;
+  for (const std::string& file : evicted_files_) {
+    fs::remove(PayloadPath(file), ec);
+  }
+  evicted_files_.clear();
 }
 
 Result<std::string> DiskArtifactStore::ReadPayloadLocked(
@@ -297,6 +409,9 @@ Result<ArtifactPayload> DiskArtifactStore::Get(const std::string& key) const {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     return Status::NotFound("artifact '" + key + "' is not materialized");
+  }
+  if (it->second.has_pending) {
+    return it->second.pending;
   }
   HYPPO_ASSIGN_OR_RETURN(std::string bytes,
                          ReadPayloadLocked(key, it->second));
@@ -326,17 +441,22 @@ Status DiskArtifactStore::Evict(const std::string& key) {
   entries_.erase(it);
   used_bytes_ -= entry.size_bytes;
   payload_bytes_ -= entry.payload_bytes;
+  if (entry.on_disk) {
+    evicted_files_.insert(entry.file);
+  }
+  if (write_behind_) {
+    return Status::OK();
+  }
   Status manifest = WriteManifestLocked();
   if (!manifest.ok()) {
+    evicted_files_.erase(entry.file);
     entries_.emplace(key, entry);
     used_bytes_ += entry.size_bytes;
     payload_bytes_ += entry.payload_bytes;
     return manifest;
   }
-  // Manifest no longer names the entry; losing the race to delete the
-  // file only leaves an orphan for the next recovery pass.
-  std::error_code ec;
-  fs::remove(PayloadPath(entry.file), ec);
+  // The manifest no longer names the entry: its file may go.
+  RemoveEvictedFilesLocked();
   return Status::OK();
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,12 @@ namespace hyppo::storage {
 ///  - Evict removes the manifest entry first and the payload file second,
 ///    so a crash in between leaves an orphan file (garbage-collected on
 ///    the next open), never a manifest entry without bytes.
+///  - In write-behind mode (EnableWriteBehind), Put and Evict only update
+///    the in-memory index: a new version stays in memory, readable at
+///    once, and an evicted entry's file stays on disk. Flush() encodes
+///    and writes the new versions without holding the index lock, then
+///    rewrites the manifest once and deletes the evicted files. A crash
+///    before Flush() leaves the last flushed state.
 ///  - Opening a store recovers from whatever a previous session left:
 ///    manifest entries whose payload file is missing or has the wrong
 ///    length are dropped, `*.tmp` leftovers and orphan payload files are
@@ -54,7 +61,8 @@ namespace hyppo::storage {
 ///
 /// Thread-safe: a single mutex guards the index; file writes happen
 /// under it (writers serialize, matching InMemoryArtifactStore's
-/// coarse-grained contract).
+/// coarse-grained contract), except Flush()'s payload writes, which
+/// serialize on their own mutex.
 class DiskArtifactStore final : public ArtifactStore {
  public:
   /// Opens (or creates) the store rooted at `directory`, acquires its
@@ -86,6 +94,9 @@ class DiskArtifactStore final : public ArtifactStore {
   /// seconds of the disk round-trip.
   Result<Loaded> Load(const std::string& key) const override;
 
+  void EnableWriteBehind() override;
+  Status Flush() override;
+
   /// Physical bytes of all encoded payloads on disk (vs. the logical
   /// used_bytes() the budget is charged in).
   int64_t payload_bytes() const;
@@ -94,8 +105,16 @@ class DiskArtifactStore final : public ArtifactStore {
   struct Entry {
     std::string file;        ///< payload file name under payloads/
     int64_t size_bytes = 0;  ///< logical size charged against the budget
+    /// The file holds a complete version, the one the manifest names.
+    bool on_disk = false;
     int64_t payload_bytes = 0;  ///< encoded bytes on disk
     uint64_t checksum = 0;      ///< FNV-1a64 of the encoded payload
+    /// Write-behind: the current version when the file does not hold it.
+    bool has_pending = false;
+    ArtifactPayload pending;
+    /// Bumped by every write-behind Put, so Flush() can tell whether the
+    /// version it wrote is still the current one.
+    uint64_t version = 0;
   };
 
   /// Takes the exclusive advisory lock on `<directory>/store.lock`;
@@ -107,6 +126,9 @@ class DiskArtifactStore final : public ArtifactStore {
   /// Atomically rewrites store.manifest from entries_ (caller holds
   /// mutex_).
   Status WriteManifestLocked();
+  /// Deletes the payload files of evicted entries once the manifest no
+  /// longer names them (caller holds mutex_).
+  void RemoveEvictedFilesLocked();
   /// Reads + verifies one entry's payload bytes (caller holds mutex_).
   Result<std::string> ReadPayloadLocked(const std::string& key,
                                         const Entry& entry) const;
@@ -125,6 +147,14 @@ class DiskArtifactStore final : public ArtifactStore {
   std::map<std::string, Entry> entries_;
   int64_t used_bytes_ = 0;
   int64_t payload_bytes_ = 0;
+  bool write_behind_ = false;
+  /// The last manifest write failed, so the file lags the index.
+  bool manifest_stale_ = false;
+  uint64_t next_version_ = 0;
+  /// Files of evicted entries that a manifest on disk may still name.
+  std::set<std::string> evicted_files_;
+  /// Serializes Flush() calls, whose file writes run outside mutex_.
+  std::mutex flush_mutex_;
 };
 
 }  // namespace hyppo::storage

@@ -166,6 +166,9 @@ class FaultInjectingStore final : public ArtifactStore {
   /// (empty) payload, or inflate the charged load time.
   Result<Loaded> Load(const std::string& key) const override;
 
+  void EnableWriteBehind() override { base_->EnableWriteBehind(); }
+  Status Flush() override { return base_->Flush(); }
+
   ArtifactStore* base() const { return base_; }
 
  private:

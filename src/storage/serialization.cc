@@ -1,5 +1,6 @@
 #include "storage/serialization.h"
 
+#include <bit>
 #include <cstring>
 
 namespace hyppo::storage {
@@ -210,8 +211,19 @@ void BinaryWriter::WriteString(const std::string& value) {
 
 void BinaryWriter::WriteDoubleVector(const std::vector<double>& values) {
   WriteU64(values.size());
-  for (double value : values) {
-    WriteDouble(value);
+  WriteDoubles(values.data(), values.size());
+}
+
+void BinaryWriter::WriteDoubles(const double* values, size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    // The in-memory bytes already are the encoding.
+    const size_t at = buffer_.size();
+    buffer_.resize(at + n * sizeof(double));
+    std::memcpy(buffer_.data() + at, values, n * sizeof(double));
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      WriteDouble(values[i]);
+    }
   }
 }
 
@@ -320,6 +332,9 @@ Result<std::string> SerializePayload(const ArtifactPayload& payload) {
   } else if (const auto* dataset = std::get_if<ml::DatasetPtr>(&payload)) {
     writer.WriteU32(static_cast<uint32_t>(PayloadTag::kDataset));
     const ml::Dataset& data = **dataset;
+    const size_t cells = static_cast<size_t>(data.rows()) *
+                         static_cast<size_t>(data.cols() + 1);
+    writer.Reserve(cells * sizeof(double) + 64);
     writer.WriteI64(data.rows());
     writer.WriteI64(data.cols());
     writer.WriteU64(data.column_names().size());
@@ -327,9 +342,7 @@ Result<std::string> SerializePayload(const ArtifactPayload& payload) {
       writer.WriteString(name);
     }
     for (int64_t c = 0; c < data.cols(); ++c) {
-      for (int64_t r = 0; r < data.rows(); ++r) {
-        writer.WriteDouble(data.at(r, c));
-      }
+      writer.WriteDoubles(data.col_data(c), static_cast<size_t>(data.rows()));
     }
     writer.WriteBool(data.has_target());
     if (data.has_target()) {

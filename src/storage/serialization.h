@@ -37,6 +37,9 @@ class BinaryWriter {
   void WriteBool(bool value) { buffer_.push_back(value ? 1 : 0); }
   void WriteString(const std::string& value);
   void WriteDoubleVector(const std::vector<double>& values);
+  /// `n` doubles with no length prefix, each as WriteDouble would.
+  void WriteDoubles(const double* values, size_t n);
+  void Reserve(size_t bytes) { buffer_.reserve(bytes); }
   void WriteI32Vector(const std::vector<int32_t>& values);
 
   const std::string& buffer() const { return buffer_; }

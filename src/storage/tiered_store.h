@@ -43,6 +43,8 @@ class TieredArtifactStore final : public ArtifactStore {
   /// load may have to go to disk).
   const StorageTier& tier() const override;
   Result<Loaded> Load(const std::string& key) const override;
+  void EnableWriteBehind() override { back_->EnableWriteBehind(); }
+  Status Flush() override { return back_->Flush(); }
 
   ArtifactStore& back() { return *back_; }
   const ArtifactStore& back() const { return *back_; }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,6 +76,27 @@ std::vector<ArtifactPayload> EveryPayloadKind() {
 
   payloads.emplace_back(0.8125);
   return payloads;
+}
+
+// Dataset cells are encoded column by column, each double as its 8 bytes
+// least significant first, whatever the host's byte order.
+TEST(SerializationFuzzTest, DatasetCellsAreLittleEndianColumnMajor) {
+  auto dataset = std::make_shared<ml::Dataset>(2, 2);
+  dataset->at(0, 0) = 1.0;
+  dataset->at(1, 0) = -2.5;
+  dataset->at(0, 1) = 1e300;
+  dataset->at(1, 1) = 0.1;
+  std::string expected;
+  for (double value : {1.0, -2.5, 1e300, 0.1}) {
+    uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    for (int i = 0; i < 8; ++i) {
+      expected.push_back(static_cast<char>((bits >> (8 * i)) & 0xff));
+    }
+  }
+  auto bytes = SerializePayload(ArtifactPayload(ml::DatasetPtr(dataset)));
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_NE(bytes->find(expected), std::string::npos);
 }
 
 TEST(SerializationFuzzTest, EveryPayloadTagRoundTripsBitExact) {

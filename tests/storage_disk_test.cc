@@ -205,6 +205,70 @@ TEST(DiskStoreTest, UnsafeKeysGetHashedFileNames) {
   EXPECT_DOUBLE_EQ(std::get<double>(*payload), 9.0);
 }
 
+// Write-behind: Put and Evict change the index at once, the files only
+// at Flush().
+TEST(DiskStoreTest, WriteBehindDefersDiskWorkToFlush) {
+  const std::string dir = TempDir("write_behind");
+  const fs::path payloads = fs::path(dir) / "payloads";
+  const ArtifactPayload data = MakeDatasetPayload(16, 2, 0.5);
+  auto expected = storage::SerializePayload(data);
+  ASSERT_TRUE(expected.ok());
+  {
+    DiskArtifactStore store(dir);
+    ASSERT_TRUE(store.Put("old", ArtifactPayload(1.0), 8).ok());
+    const int64_t old_payload_bytes = store.payload_bytes();
+    store.EnableWriteBehind();
+    ASSERT_TRUE(store.Put("new", data, 256).ok());
+    ASSERT_TRUE(store.Put("dropped", ArtifactPayload(2.0), 8).ok());
+    ASSERT_TRUE(store.Evict("old").ok());
+    ASSERT_TRUE(store.Evict("dropped").ok());
+    // Reads see every change; the disk does not yet.
+    EXPECT_TRUE(store.Contains("new"));
+    EXPECT_FALSE(store.Contains("old"));
+    EXPECT_EQ(store.used_bytes(), 256);
+    EXPECT_EQ(store.payload_bytes(), 0);
+    auto pending = store.Get("new");
+    ASSERT_TRUE(pending.ok());
+    auto pending_bytes = storage::SerializePayload(*pending);
+    ASSERT_TRUE(pending_bytes.ok());
+    EXPECT_EQ(*pending_bytes, *expected);
+    EXPECT_FALSE(fs::exists(payloads / "new.bin"));
+    EXPECT_TRUE(fs::exists(payloads / "old.bin"));
+    EXPECT_GT(old_payload_bytes, 0);
+
+    ASSERT_TRUE(store.Flush().ok());
+    EXPECT_TRUE(fs::exists(payloads / "new.bin"));
+    EXPECT_FALSE(fs::exists(payloads / "old.bin"));
+    EXPECT_FALSE(fs::exists(payloads / "dropped.bin"));
+    EXPECT_EQ(store.payload_bytes(),
+              static_cast<int64_t>(expected->size()));
+    EXPECT_TRUE(store.Flush().ok());  // nothing left to do
+  }
+  DiskArtifactStore reopened(dir);
+  ASSERT_TRUE(reopened.init_status().ok());
+  EXPECT_EQ(reopened.Keys(), std::vector<std::string>{"new"});
+  auto payload = reopened.Get("new");
+  ASSERT_TRUE(payload.ok());
+  auto actual = storage::SerializePayload(*payload);
+  ASSERT_TRUE(actual.ok());
+  EXPECT_EQ(*actual, *expected);
+}
+
+TEST(DiskStoreTest, WriteBehindFlushesWhenTheStoreCloses) {
+  const std::string dir = TempDir("write_behind_close");
+  {
+    DiskArtifactStore store(dir);
+    store.EnableWriteBehind();
+    ASSERT_TRUE(store.Put("k", ArtifactPayload(4.5), 8).ok());
+    // A newer version replaces the pending one before any flush.
+    ASSERT_TRUE(store.Put("k", ArtifactPayload(5.5), 8).ok());
+  }
+  DiskArtifactStore reopened(dir);
+  auto payload = reopened.Get("k");
+  ASSERT_TRUE(payload.ok());
+  EXPECT_DOUBLE_EQ(std::get<double>(*payload), 5.5);
+}
+
 // ---------------------------------------------------------------------------
 // TieredArtifactStore.
 
