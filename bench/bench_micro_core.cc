@@ -9,7 +9,6 @@
 #include "baselines/collab_e.h"
 #include "baselines/dag_reuse.h"
 #include "core/hyppo.h"
-#include "hypergraph/algorithms.h"
 #include "core/naming.h"
 #include "core/parser.h"
 #include "workload/datagen.h"
@@ -73,9 +72,14 @@ BENCHMARK(BM_ParsePipeline);
 class PlannerFixture : public benchmark::Fixture {
  public:
   void SetUp(const benchmark::State& state) override {
-    if (runtime) {
+    // One fixture object serves every Arg of a benchmark: rebuild when the
+    // requested history size changes.
+    const int64_t history_size = state.range(0);
+    if (runtime && built_size == history_size) {
       return;
     }
+    method.reset();
+    runtime.reset();
     core::RuntimeOptions options;
     options.storage_budget_bytes = 64ll << 20;
     options.simulate = true;
@@ -87,7 +91,6 @@ class PlannerFixture : public benchmark::Fixture {
     method = std::make_unique<core::HyppoMethod>(runtime.get());
     generator = std::make_unique<workload::PipelineGenerator>(use_case, 0.01,
                                                               42);
-    const int64_t history_size = state.range(0);
     for (int64_t i = 0; i < history_size; ++i) {
       auto pipeline = generator->Next();
       pipeline.status().Abort("generate");
@@ -99,6 +102,7 @@ class PlannerFixture : public benchmark::Fixture {
       method->AfterExecution(*pipeline, *planned, *record).Abort("mat");
     }
     fresh = std::make_unique<core::Pipeline>(*generator->Next());
+    built_size = history_size;
   }
 
   void TearDown(const benchmark::State&) override {}
@@ -107,6 +111,7 @@ class PlannerFixture : public benchmark::Fixture {
   std::unique_ptr<core::HyppoMethod> method;
   std::unique_ptr<workload::PipelineGenerator> generator;
   std::unique_ptr<core::Pipeline> fresh;
+  int64_t built_size = -1;
 };
 
 BENCHMARK_DEFINE_F(PlannerFixture, AugmentAndOptimize)
@@ -119,11 +124,13 @@ BENCHMARK_DEFINE_F(PlannerFixture, AugmentAndOptimize)
 }
 BENCHMARK_REGISTER_F(PlannerFixture, AugmentAndOptimize)->Arg(10)->Arg(30);
 
-// Materializer guards: the decision sweep is O(E + V log V) thanks to the
-// hoisted RecomputeCosts()/depth precomputation — Gain() per node against
-// shared vectors, not a per-node value iteration. A regression to the
-// O(V*E) shape shows up directly in GainSweep's scaling with history
-// size.
+// Materializer guards: one cost pass per decision — a walk over the live
+// history edges into flat arrays, a Kahn-order depth pass, Bellman-Ford
+// scans in edge-id order (about four per call on the perfbench catalog
+// workload) and one recompute scan, each O(V + E) — then Gain() per node
+// against the shared vectors and a sort of the candidates. A regression
+// to a per-node cost pass (O(V*E)) shows up directly in the scaling with
+// history size.
 BENCHMARK_DEFINE_F(PlannerFixture, MaterializerGainSweep)
 (benchmark::State& state) {
   core::Materializer materializer(&runtime->augmenter());
@@ -131,13 +138,11 @@ BENCHMARK_DEFINE_F(PlannerFixture, MaterializerGainSweep)
   options.budget_bytes = runtime->options().storage_budget_bytes;
   const core::History& history = runtime->history();
   for (auto _ : state) {
-    const std::vector<double> recompute =
-        materializer.RecomputeCosts(history);
-    const std::vector<double> depth = AverageDepthFromSource(
-        history.graph().hypergraph(), history.graph().source());
+    const core::Materializer::Costs costs = materializer.ComputeCosts(history);
     double total = 0.0;
     for (NodeId v = 1; v < history.graph().num_artifacts(); ++v) {
-      total += materializer.Gain(history, v, options, recompute, depth);
+      total += materializer.Gain(history, v, options, costs.recompute,
+                                 costs.depth);
     }
     benchmark::DoNotOptimize(total);
   }
@@ -163,7 +168,10 @@ BENCHMARK_DEFINE_F(PlannerFixture, MaterializerDecide)
         materializer.Decide(history, storable, options));
   }
 }
-BENCHMARK_REGISTER_F(PlannerFixture, MaterializerDecide)->Arg(10)->Arg(30);
+BENCHMARK_REGISTER_F(PlannerFixture, MaterializerDecide)
+    ->Arg(10)
+    ->Arg(30)
+    ->Arg(300);
 
 void BM_DagReuseMinCut(benchmark::State& state) {
   workload::SyntheticConfig config;

@@ -218,12 +218,14 @@ double Augmenter::EdgeSeconds(const PipelineGraph& graph, EdgeId edge,
   }
   // Compute edge. Prefer the history's observation for the identical task
   // (matched by head name + impl: the head name fully determines the
-  // logical op, type, config, and inputs).
+  // logical op, type, config, and inputs). On the history's own graph the
+  // head node is already the history node.
   Result<EdgeId> history_edge = [&]() -> Result<EdgeId> {
-    const auto& heads = graph.ordered_head(edge);
-    HYPPO_ASSIGN_OR_RETURN(
-        NodeId h_node,
-        history.FindArtifact(graph.artifact(heads[0]).name));
+    NodeId h_node = graph.ordered_head(edge)[0];
+    if (&graph != &history.graph()) {
+      HYPPO_ASSIGN_OR_RETURN(h_node,
+                             history.FindArtifact(graph.artifact(h_node).name));
+    }
     for (EdgeId e : history.graph().hypergraph().bstar(h_node)) {
       const TaskInfo& h_task = history.graph().task(e);
       if (h_task.type == task.type && h_task.impl == task.impl) {

@@ -15,8 +15,7 @@ void CostEstimator::Observe(const std::string& impl, TaskType type,
                             int64_t rows, int64_t cols, double seconds) {
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    BucketStats& bucket =
-        stats_[StatsKey(impl, type)][CellBucket(rows, cols)];
+    BucketStats& bucket = stats_[type][impl][CellBucket(rows, cols)];
     bucket.total_seconds += seconds;
     bucket.total_cells += static_cast<double>(rows) *
                           static_cast<double>(std::max<int64_t>(1, cols));
@@ -32,20 +31,26 @@ double CostEstimator::EstimateTaskSeconds(const TaskInfo& task, int64_t rows,
                static_cast<double>(std::max<int64_t>(1, cols)));
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    auto key_it = stats_.find(StatsKey(task.impl, task.type));
-    if (key_it != stats_.end() && !key_it->second.empty()) {
+    const std::map<int, BucketStats>* buckets = nullptr;
+    if (const auto by_type = stats_.find(task.type); by_type != stats_.end()) {
+      const auto by_impl = by_type->second.find(task.impl);
+      if (by_impl != by_type->second.end()) {
+        buckets = &by_impl->second;
+      }
+    }
+    if (buckets != nullptr && !buckets->empty()) {
       const int bucket = CellBucket(rows, cols);
       // Exact bucket, else nearest observed bucket scaled linearly by cell
       // count (operators in the catalog are near-linear in cells at fixed
       // configuration).
-      auto exact = key_it->second.find(bucket);
-      if (exact != key_it->second.end()) {
+      auto exact = buckets->find(bucket);
+      if (exact != buckets->end()) {
         return exact->second.total_seconds /
                static_cast<double>(exact->second.count);
       }
       int best_distance = 1 << 30;
       const BucketStats* best = nullptr;
-      for (const auto& [b, stats] : key_it->second) {
+      for (const auto& [b, stats] : *buckets) {
         const int distance = std::abs(b - bucket);
         if (distance < best_distance) {
           best_distance = distance;

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -97,16 +98,17 @@ class CostEstimator {
     int64_t count = 0;
   };
 
-  static std::string StatsKey(const std::string& impl, TaskType type) {
-    return impl + "|" + TaskTypeToString(type);
-  }
   static int CellBucket(int64_t rows, int64_t cols);
 
   const ml::OperatorRegistry* registry_;
   /// Guards stats_ (observations land from execution threads while
   /// planners estimate concurrently).
   mutable std::mutex stats_mutex_;
-  std::map<std::string, std::map<int, BucketStats>> stats_;
+  /// task type -> impl -> cell bucket -> stats. Lookups compare the impl
+  /// in place: no key string is built under the mutex.
+  std::map<TaskType,
+           std::map<std::string, std::map<int, BucketStats>, std::less<>>>
+      stats_;
   std::atomic<int64_t> num_observations_{0};
   std::atomic<double> compute_throughput_scale_{1.0};
 };

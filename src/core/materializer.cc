@@ -14,91 +14,106 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-std::vector<double> Materializer::RecomputeCosts(
-    const History& history) const {
+Materializer::Costs Materializer::ComputeCosts(const History& history) const {
   const PipelineGraph& graph = history.graph();
   const Hypergraph& hg = graph.hypergraph();
-  // Phase 1 — value iteration with sum-over-tails aggregation:
-  // obtain(v) = min over incoming edges (including 'load' edges for
-  // materialized artifacts) of (edge seconds + sum of tail obtain costs).
-  std::vector<double> obtain(static_cast<size_t>(hg.num_nodes()), kInf);
-  std::vector<double> edge_seconds(
-      static_cast<size_t>(hg.num_edge_slots()), 0.0);
+  const NodeId source = graph.source();
+  // The one walk over the graph: live edges in id order, flattened.
+  FlatHyperedges edges(hg.num_nodes(), source);
+  std::vector<double> seconds;
+  std::vector<char> is_load;
+  const size_t live = static_cast<size_t>(hg.num_edges());
+  edges.tail_begin.reserve(live + 1);
+  edges.head_begin.reserve(live + 1);
+  edges.tail_size.reserve(live);
+  seconds.reserve(live);
+  is_load.reserve(live);
   for (EdgeId e = 0; e < hg.num_edge_slots(); ++e) {
     if (hg.IsLiveEdge(e)) {
-      edge_seconds[static_cast<size_t>(e)] =
-          augmenter_->EdgeSeconds(graph, e, history);
+      edges.Append(hg.edge(e));
+      seconds.push_back(augmenter_->EdgeSeconds(graph, e, history));
+      is_load.push_back(graph.task(e).type == TaskType::kLoad ? 1 : 0);
     }
   }
-  obtain[static_cast<size_t>(graph.source())] = 0.0;
+  const size_t m = seconds.size();
+
+  Costs costs;
+  costs.depth = AverageDepthFromSource(edges);
+
+  // obtain(v) = min over incoming edges (including 'load' edges for
+  // materialized artifacts) of (edge seconds + sum of tail obtain costs),
+  // by Bellman-Ford passes in edge-id order. Both the pass order and the
+  // 1e-15 slack decide which of two near-equal sums a node keeps, so the
+  // scan stays as it is: a one-pass minimum in topological order lands a
+  // few ulp away and flips decisions.
+  std::vector<double> obtain(static_cast<size_t>(hg.num_nodes()), kInf);
+  obtain[static_cast<size_t>(source)] = 0.0;
+  // Sum of `obtain` over entry i's non-source tails; +inf when one is
+  // unobtainable.
+  auto tail_cost = [&](size_t i) {
+    double sum = 0.0;
+    for (int32_t k = edges.tail_begin[i]; k < edges.tail_begin[i + 1]; ++k) {
+      const double c =
+          obtain[static_cast<size_t>(edges.tails[static_cast<size_t>(k)])];
+      if (c == kInf) {
+        return kInf;
+      }
+      sum += c;
+    }
+    return sum;
+  };
   bool changed = true;
   int guard = hg.num_nodes() + 2;
   while (changed && guard-- > 0) {
     changed = false;
-    for (EdgeId e = 0; e < hg.num_edge_slots(); ++e) {
-      if (!hg.IsLiveEdge(e)) {
-        continue;
-      }
-      double tail_sum = 0.0;
-      for (NodeId u : hg.edge(e).tail) {
-        if (u == graph.source()) {
-          continue;
-        }
-        if (obtain[static_cast<size_t>(u)] == kInf) {
-          tail_sum = kInf;
-          break;
-        }
-        tail_sum += obtain[static_cast<size_t>(u)];
-      }
+    for (size_t i = 0; i < m; ++i) {
+      const double tail_sum = tail_cost(i);
       if (tail_sum == kInf) {
         continue;
       }
-      const double through = edge_seconds[static_cast<size_t>(e)] + tail_sum;
-      for (NodeId h : hg.edge(e).head) {
-        if (through < obtain[static_cast<size_t>(h)] - 1e-15) {
-          obtain[static_cast<size_t>(h)] = through;
+      const double through = seconds[i] + tail_sum;
+      for (int32_t k = edges.head_begin[i]; k < edges.head_begin[i + 1]; ++k) {
+        double& best =
+            obtain[static_cast<size_t>(edges.heads[static_cast<size_t>(k)])];
+        if (through < best - 1e-15) {
+          best = through;
           changed = true;
         }
       }
     }
   }
-  // Phase 2 — the paper's cost(v): the cost of *re-computing* v if it were
-  // evicted, i.e. through compute edges only (v's own load edge excluded),
-  // with inputs obtained as cheaply as the current materialization allows.
-  std::vector<double> recompute(static_cast<size_t>(hg.num_nodes()), kInf);
-  recompute[static_cast<size_t>(graph.source())] = 0.0;
-  for (EdgeId e = 0; e < hg.num_edge_slots(); ++e) {
-    if (!hg.IsLiveEdge(e) || graph.task(e).type == TaskType::kLoad) {
+  // The paper's cost(v): the cost of *re-computing* v if it were evicted,
+  // i.e. through compute edges only (v's own load edge excluded), with
+  // inputs obtained as cheaply as the current materialization allows.
+  costs.recompute.assign(static_cast<size_t>(hg.num_nodes()), kInf);
+  costs.recompute[static_cast<size_t>(source)] = 0.0;
+  for (size_t i = 0; i < m; ++i) {
+    if (is_load[i] != 0) {
       continue;
     }
-    double tail_sum = 0.0;
-    for (NodeId u : hg.edge(e).tail) {
-      if (u == graph.source()) {
-        continue;
-      }
-      if (obtain[static_cast<size_t>(u)] == kInf) {
-        tail_sum = kInf;
-        break;
-      }
-      tail_sum += obtain[static_cast<size_t>(u)];
-    }
+    const double tail_sum = tail_cost(i);
     if (tail_sum == kInf) {
       continue;
     }
-    const double through = edge_seconds[static_cast<size_t>(e)] + tail_sum;
-    for (NodeId h : hg.edge(e).head) {
-      recompute[static_cast<size_t>(h)] =
-          std::min(recompute[static_cast<size_t>(h)], through);
+    const double through = seconds[i] + tail_sum;
+    for (int32_t k = edges.head_begin[i]; k < edges.head_begin[i + 1]; ++k) {
+      double& best = costs.recompute[static_cast<size_t>(
+          edges.heads[static_cast<size_t>(k)])];
+      best = std::min(best, through);
     }
   }
-  return recompute;
+  return costs;
+}
+
+std::vector<double> Materializer::RecomputeCosts(
+    const History& history) const {
+  return ComputeCosts(history).recompute;
 }
 
 double Materializer::Gain(const History& history, NodeId node,
                           const Options& options) const {
-  const PipelineGraph& graph = history.graph();
-  return Gain(history, node, options, RecomputeCosts(history),
-              AverageDepthFromSource(graph.hypergraph(), graph.source()));
+  const Costs costs = ComputeCosts(history);
+  return Gain(history, node, options, costs.recompute, costs.depth);
 }
 
 double Materializer::Gain(const History& history, NodeId node,
@@ -141,9 +156,15 @@ Materializer::Decision Materializer::Decide(
   };
   // Shared precomputations (Gain() recomputes them per node; for the
   // decision sweep we hoist them out).
-  const std::vector<double> recompute = RecomputeCosts(history);
-  const std::vector<double> depth =
-      AverageDepthFromSource(graph.hypergraph(), graph.source());
+  const Costs costs = ComputeCosts(history);
+  // Per-node flags instead of name lookups in the candidate sweep.
+  std::vector<char> can_store(static_cast<size_t>(graph.num_artifacts()), 0);
+  for (const std::string& name : storable) {
+    const Result<NodeId> node = history.FindArtifact(name);
+    if (node.ok()) {
+      can_store[static_cast<size_t>(*node)] = 1;
+    }
+  }
 
   std::vector<Candidate> candidates;
   for (NodeId v = 1; v < graph.num_artifacts(); ++v) {
@@ -156,14 +177,14 @@ Materializer::Decision Materializer::Decide(
       continue;
     }
     const bool already = history.IsMaterialized(v);
-    if (!already && storable.count(artifact.name) == 0) {
+    if (!already && can_store[static_cast<size_t>(v)] == 0) {
       continue;  // payload unavailable: cannot be newly stored
     }
     const ArtifactRecord& record = history.record(v);
     double score = 0.0;
     switch (options.policy) {
       case Policy::kSpf:
-        score = Gain(history, v, options, recompute, depth);
+        score = Gain(history, v, options, costs.recompute, costs.depth);
         break;
       case Policy::kLru:
         score = record.last_access_seconds;
@@ -195,23 +216,23 @@ Materializer::Decision Materializer::Decide(
               return a.node < b.node;
             });
   Decision decision;
-  std::set<NodeId> selected;
+  std::vector<char> selected(static_cast<size_t>(graph.num_artifacts()), 0);
   int64_t used = 0;
   for (const Candidate& c : candidates) {
     if (used + c.size > options.budget_bytes) {
       continue;  // does not fit; try smaller lower-ranked artifacts
     }
-    selected.insert(c.node);
+    selected[static_cast<size_t>(c.node)] = 1;
     used += c.size;
   }
   decision.selected_bytes = used;
   for (NodeId v : history.MaterializedArtifacts()) {
-    if (selected.count(v) == 0) {
+    if (selected[static_cast<size_t>(v)] == 0) {
       decision.to_evict.push_back(v);
     }
   }
-  for (NodeId v : selected) {
-    if (!history.IsMaterialized(v)) {
+  for (NodeId v = 1; v < graph.num_artifacts(); ++v) {
+    if (selected[static_cast<size_t>(v)] != 0 && !history.IsMaterialized(v)) {
       decision.to_store.push_back(v);
     }
   }

@@ -69,21 +69,46 @@ class Materializer {
                       const std::map<std::string, ArtifactPayload>& available);
 
   /// The SPF gain of one artifact (exposed for tests and benches).
-  /// Computes the recompute-cost and depth vectors itself — O(V·E); use
+  /// Computes the cost and depth vectors itself — one O(V + E) pass; use
   /// the precomputed overload when scoring many nodes.
   double Gain(const History& history, NodeId node,
               const Options& options) const;
 
-  /// SPF gain against precomputed RecomputeCosts() / depth vectors, the
+  /// SPF gain against precomputed recompute-cost / depth vectors, the
   /// same scoring Decide() uses for its candidate sweep.
   double Gain(const History& history, NodeId node, const Options& options,
               const std::vector<double>& recompute_costs,
               const std::vector<double>& depths) const;
 
+  /// Per-node inputs of the SPF gain, indexed by NodeId.
+  struct Costs {
+    /// The paper's cost(v): RecomputeCosts().
+    std::vector<double> recompute;
+    /// Average derivation depth from the source (plan locality):
+    /// AverageDepthFromSource().
+    std::vector<double> depth;
+  };
+
+  /// \brief The cost pass behind Decide(): one walk over the live history
+  /// edges in id order fills flat arrays (tails without the source, heads,
+  /// an is-load flag and the edge seconds), and the depth, `obtain` and
+  /// `recompute` vectors are computed from those arrays alone.
+  ///
+  /// Every vector must stay bitwise equal to the per-edge oracle in
+  /// tests/materializer_differential_test.cc; docs/HISTORY.md,
+  /// "Materialization decision".
+  Costs ComputeCosts(const History& history) const;
+
   /// \brief The paper's cost(v) estimate: seconds to *re-compute* each
   /// history artifact if it were evicted, where inputs may be obtained as
-  /// cheaply as the current materialization allows (value iteration with
-  /// sum-over-tails aggregation; v's own load edge excluded).
+  /// cheaply as the current materialization allows.
+  ///
+  /// obtain(v) is the cheapest sum-over-tails derivation through any live
+  /// edge, load edges included: Bellman-Ford passes in edge-id order
+  /// (improvements below 1e-15 ignored, at most V + 2 passes). recompute(v)
+  /// takes the same minimum over v's compute edges only (its own load edge
+  /// excluded), with tails at their `obtain` cost. Unreachable nodes get
+  /// +infinity. The `recompute` vector of ComputeCosts().
   ///
   /// Public because baseline materialization policies (Collab's
   /// experiment-graph utility) score recreation cost the same way.

@@ -202,9 +202,16 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
   // ids stay stable under edge removal, so payloads and task runs keep
   // referring to `aug`), re-plans, and re-executes seeded with every
   // surviving payload.
+  //
+  // Only recovery attempts that add no new payload to `surviving` count
+  // toward max_recovery_attempts: an attempt that got further is not a
+  // retry of the same failure. The loop stays bounded, because each
+  // uncounted attempt adds at least one of the augmentation's finitely
+  // many payloads.
   Augmentation degraded;
   const Augmentation* current_aug = &aug;
   Plan current_plan = plan;
+  int stalled_attempts = 0;
   for (int attempt = 0;; ++attempt) {
     HYPPO_ASSIGN_OR_RETURN(
         Executor::ExecutionResult result,
@@ -212,10 +219,14 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
     total_seconds += result.total_seconds;
     all_runs.insert(all_runs.end(), result.task_runs.begin(),
                     result.task_runs.end());
+    const size_t surviving_before = surviving.size();
     for (auto& [node, payload] : result.payloads) {
       surviving[node] = std::move(payload);
     }
     if (attempt > 0) {
+      if (surviving.size() == surviving_before) {
+        ++stalled_attempts;
+      }
       record.recovered_tasks += result.reused_tasks;
       monitor_.RecordRecoveredTasks(result.reused_tasks);
     } else if (batch_payloads != nullptr && !batch_payloads->empty()) {
@@ -226,7 +237,7 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
     }
     record.failed_tasks += static_cast<int64_t>(result.failures.size());
     monitor_.RecordTaskFailures(static_cast<int64_t>(result.failures.size()));
-    if (!replan || attempt >= options_.max_recovery_attempts) {
+    if (!replan || stalled_attempts >= options_.max_recovery_attempts) {
       if (!result.failures.empty()) {
         return result.failures.front().status;
       }

@@ -60,9 +60,11 @@ struct RuntimeOptions {
   /// `verify_plans` re-verification (Monitor::num_plan_checks_skipped),
   /// since the pre-check proves the same invariants.
   bool static_checks = true;
-  /// Self-healing bound: how many degrade-and-re-plan rounds one
-  /// execution may take after task failures before the first failure
-  /// surfaces as an error. 0 disables recovery entirely.
+  /// Self-healing bound: how many degrade-and-re-plan rounds that produce
+  /// no new payload one execution may take after task failures before the
+  /// first failure surfaces as an error. Rounds that do produce one are not
+  /// counted (each adds a payload, so they are finitely many). 0 disables
+  /// recovery entirely.
   int max_recovery_attempts = 3;
   /// History growth bound: when the history holds more than this many
   /// artifacts after an execution, Pareto compaction (History::Compact)
@@ -193,9 +195,9 @@ class Runtime {
   /// drops the dead load edges from a copy of the augmentation, purges the
   /// rotten artifacts from the store and the history, re-plans over the
   /// degraded augmentation, and re-executes reusing every payload that
-  /// survived — bounded by RuntimeOptions::max_recovery_attempts, after
-  /// which the first failure's Status is returned. Without a replanner the
-  /// first failure surfaces immediately.
+  /// survived — bounded by RuntimeOptions::max_recovery_attempts rounds
+  /// without progress, after which the first failure's Status is
+  /// returned. Without a replanner the first failure surfaces immediately.
   Result<ExecutionRecord> ExecuteAndRecord(const Pipeline& pipeline,
                                            const Augmentation& aug,
                                            const Plan& plan,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <numeric>
 
 namespace hyppo {
 
@@ -137,62 +138,134 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Memoized depth DFS; `on_stack` breaks cycles by ignoring back-derivations.
-double DepthDfs(const Hypergraph& graph, NodeId node, NodeId source,
-                std::vector<double>& memo, std::vector<bool>& on_stack) {
-  if (node == source) {
-    return 0.0;
+size_t Idx(int32_t i) { return static_cast<size_t>(i); }
+
+}  // namespace
+
+void FlatHyperedges::Append(const Hyperedge& edge) {
+  for (NodeId u : edge.tail) {
+    if (u != source) {
+      tails.push_back(u);
+    }
   }
-  double& cached = memo[static_cast<size_t>(node)];
-  if (cached >= 0.0 || cached == kInf) {
-    return cached;
+  tail_begin.push_back(static_cast<int32_t>(tails.size()));
+  heads.insert(heads.end(), edge.head.begin(), edge.head.end());
+  head_begin.push_back(static_cast<int32_t>(heads.size()));
+  tail_size.push_back(static_cast<int32_t>(edge.tail.size()));
+}
+
+std::vector<double> AverageDepthFromSource(const FlatHyperedges& edges) {
+  const size_t n = static_cast<size_t>(edges.num_nodes);
+  const size_t m = static_cast<size_t>(edges.num_edges());
+  // Per node, its incoming and outgoing entries as CSR lists in ascending
+  // entry order: count, prefix-sum to the list ends, then fill backwards.
+  std::vector<int32_t> in_begin(n + 1, 0);
+  std::vector<int32_t> out_begin(n + 1, 0);
+  for (NodeId h : edges.heads) {
+    ++in_begin[static_cast<size_t>(h)];
   }
-  if (on_stack[static_cast<size_t>(node)]) {
-    return kInf;  // back edge: not a usable derivation
+  for (NodeId u : edges.tails) {
+    ++out_begin[static_cast<size_t>(u)];
   }
-  on_stack[static_cast<size_t>(node)] = true;
-  double sum = 0.0;
-  int32_t usable = 0;
-  for (EdgeId e : graph.bstar(node)) {
-    const Hyperedge& edge = graph.edge(e);
+  // Unfired incoming entries per node.
+  std::vector<int32_t> pending_in(in_begin.begin(), in_begin.end() - 1);
+  std::partial_sum(in_begin.begin(), in_begin.end(), in_begin.begin());
+  std::partial_sum(out_begin.begin(), out_begin.end(), out_begin.begin());
+  std::vector<int32_t> in_edges(edges.heads.size());
+  std::vector<int32_t> out_edges(edges.tails.size());
+  for (size_t i = m; i-- > 0;) {
+    for (int32_t k = edges.head_begin[i]; k < edges.head_begin[i + 1]; ++k) {
+      in_edges[Idx(--in_begin[static_cast<size_t>(edges.heads[Idx(k)])])] =
+          static_cast<int32_t>(i);
+    }
+    for (int32_t k = edges.tail_begin[i]; k < edges.tail_begin[i + 1]; ++k) {
+      out_edges[Idx(--out_begin[static_cast<size_t>(edges.tails[Idx(k)])])] =
+          static_cast<int32_t>(i);
+    }
+  }
+
+  std::vector<double> depth(n, kInf);
+  // via[i]: 1 + mean tail depth of entry i, +inf when a tail is unreachable.
+  std::vector<double> via(m, kInf);
+  // Unsettled non-source tails per entry.
+  std::vector<int32_t> pending_tails(m);
+  std::vector<NodeId> settled;
+  settled.reserve(n);
+  auto settle = [&](NodeId v) {
+    double sum = 0.0;
+    int32_t usable = 0;
+    for (int32_t k = in_begin[static_cast<size_t>(v)];
+         k < in_begin[static_cast<size_t>(v) + 1]; ++k) {
+      const double d = via[Idx(in_edges[Idx(k)])];
+      if (d != kInf) {
+        sum += d;
+        ++usable;
+      }
+    }
+    depth[static_cast<size_t>(v)] =
+        usable == 0 ? kInf : sum / static_cast<double>(usable);
+    settled.push_back(v);
+  };
+  // Fires entry i once its tails are settled; the source adds 0 to the
+  // tail sum and only counts in the mean.
+  auto fire = [&](size_t i) {
     double tail_sum = 0.0;
-    bool feasible = true;
-    for (NodeId u : edge.tail) {
-      double d = DepthDfs(graph, u, source, memo, on_stack);
+    for (int32_t k = edges.tail_begin[i]; k < edges.tail_begin[i + 1]; ++k) {
+      const double d = depth[static_cast<size_t>(edges.tails[Idx(k)])];
       if (d == kInf) {
-        feasible = false;
+        tail_sum = kInf;
         break;
       }
       tail_sum += d;
     }
-    if (!feasible) {
-      continue;
+    if (tail_sum != kInf) {
+      const int32_t size = edges.tail_size[i];
+      via[i] = 1.0 + (size == 0 ? 0.0 : tail_sum / static_cast<double>(size));
     }
-    double tail_avg =
-        edge.tail.empty() ? 0.0 : tail_sum / static_cast<double>(edge.tail.size());
-    sum += 1.0 + tail_avg;
-    ++usable;
-  }
-  on_stack[static_cast<size_t>(node)] = false;
-  cached = (usable == 0) ? kInf : sum / static_cast<double>(usable);
-  return cached;
-}
+    for (int32_t k = edges.head_begin[i]; k < edges.head_begin[i + 1]; ++k) {
+      const NodeId h = edges.heads[Idx(k)];
+      if (h != edges.source && --pending_in[static_cast<size_t>(h)] == 0) {
+        settle(h);
+      }
+    }
+  };
 
-}  // namespace
+  if (edges.source >= 0 && static_cast<size_t>(edges.source) < n) {
+    depth[static_cast<size_t>(edges.source)] = 0.0;
+    settled.push_back(edges.source);
+  }
+  for (size_t v = 0; v < n; ++v) {
+    if (pending_in[v] == 0 && static_cast<NodeId>(v) != edges.source) {
+      settle(static_cast<NodeId>(v));
+    }
+  }
+  for (size_t i = 0; i < m; ++i) {
+    pending_tails[i] = edges.tail_begin[i + 1] - edges.tail_begin[i];
+    if (pending_tails[i] == 0) {
+      fire(i);
+    }
+  }
+  for (size_t next = 0; next < settled.size(); ++next) {
+    const size_t u = static_cast<size_t>(settled[next]);
+    for (int32_t k = out_begin[u]; k < out_begin[u + 1]; ++k) {
+      const size_t i = Idx(out_edges[Idx(k)]);
+      if (--pending_tails[i] == 0) {
+        fire(i);
+      }
+    }
+  }
+  return depth;
+}
 
 std::vector<double> AverageDepthFromSource(const Hypergraph& graph,
                                            NodeId source) {
-  std::vector<double> memo(static_cast<size_t>(graph.num_nodes()), -1.0);
-  std::vector<bool> on_stack(static_cast<size_t>(graph.num_nodes()), false);
-  if (graph.IsValidNode(source)) {
-    memo[static_cast<size_t>(source)] = 0.0;
+  FlatHyperedges edges(graph.num_nodes(), source);
+  for (EdgeId e = 0; e < graph.num_edge_slots(); ++e) {
+    if (graph.IsLiveEdge(e)) {
+      edges.Append(graph.edge(e));
+    }
   }
-  std::vector<double> depth(static_cast<size_t>(graph.num_nodes()), kInf);
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    depth[static_cast<size_t>(v)] =
-        DepthDfs(graph, v, source, memo, on_stack);
-  }
-  return depth;
+  return AverageDepthFromSource(edges);
 }
 
 }  // namespace hyppo

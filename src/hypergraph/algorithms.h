@@ -46,6 +46,30 @@ struct RelevanceClosure {
 RelevanceClosure BackwardRelevance(const Hypergraph& graph,
                                    const std::vector<NodeId>& targets);
 
+/// \brief The live hyperedges of a graph as flat arrays, in ascending edge
+/// id: tails without the source and heads, each in CSR form, plus every
+/// edge's full tail size (the source included). Passes that scan all
+/// edges several times (the materializer's cost pass) read these instead
+/// of the per-edge `Hyperedge` vectors.
+struct FlatHyperedges {
+  FlatHyperedges(int32_t num_nodes, NodeId source)
+      : num_nodes(num_nodes), source(source) {}
+
+  /// Appends `edge` as the next entry (callers append in edge-id order).
+  void Append(const Hyperedge& edge);
+  int32_t num_edges() const { return static_cast<int32_t>(tail_size.size()); }
+
+  int32_t num_nodes;
+  NodeId source;
+  /// Entry i's tails without the source are
+  /// tails[tail_begin[i] .. tail_begin[i + 1]), ascending; likewise heads.
+  std::vector<int32_t> tail_begin{0};
+  std::vector<NodeId> tails;
+  std::vector<int32_t> head_begin{0};
+  std::vector<NodeId> heads;
+  std::vector<int32_t> tail_size;
+};
+
 /// \brief Average derivation depth of each node from `source`, in
 /// hyperedges.
 ///
@@ -54,7 +78,14 @@ RelevanceClosure BackwardRelevance(const Hypergraph& graph,
 /// counts as depth 0), and depth(v) averages over the incoming hyperedges to
 /// account for the alternative ways to obtain v (paper §III-D2, the plan
 /// locality coefficient). Nodes unreachable from the source get depth
-/// +infinity; cycles are broken by ignoring back-derivations.
+/// +infinity.
+///
+/// One pass in topological (Kahn) order: a node is settled once every
+/// incoming edge has fired, and its average sums the usable derivations in
+/// ascending edge id. Nodes on a cycle, and every node derived from one,
+/// never settle and stay at +infinity; histories are DAGs (the analysis
+/// verifier checks it).
+std::vector<double> AverageDepthFromSource(const FlatHyperedges& edges);
 std::vector<double> AverageDepthFromSource(const Hypergraph& graph,
                                            NodeId source);
 

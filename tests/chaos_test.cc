@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -360,6 +361,91 @@ TEST(ChaosTest, PermanentOutageExhaustsRetryBoundAndFails) {
                                          method.MakeReplanner());
   EXPECT_FALSE(record.ok());
   EXPECT_EQ(runtime.monitor().num_replans(), 2);
+}
+
+// Runs SequencePipeline(0) once under `plan` with the default recovery
+// bound; equivalences are off, so the plan executes the pipeline's own
+// tasks and the scheduled keys are the ones that run.
+struct RecoveryOutcome {
+  Status status;
+  int64_t replans = 0;
+};
+
+RecoveryOutcome RunWithFaults(
+    const std::function<storage::FaultPlan(const core::Pipeline&)>& make_plan) {
+  core::RuntimeOptions options;
+  options.simulate = false;
+  options.verify_plans = true;
+  core::Runtime runtime(options);
+  runtime.RegisterDatasetGenerator("chaos-unit", []() {
+    return workload::GenerateHiggs(160, 5, 7);
+  });
+  core::HyppoMethod::Options method_options;
+  method_options.augment.use_equivalences = false;
+  core::HyppoMethod method(&runtime, method_options);
+  RecoveryOutcome outcome;
+  auto pipeline = SequencePipeline(0);
+  if (!pipeline.ok()) {
+    outcome.status = pipeline.status();
+    return outcome;
+  }
+  runtime.EnableFaultInjection(make_plan(*pipeline));
+  auto planned = method.PlanPipeline(*pipeline);
+  if (!planned.ok()) {
+    outcome.status = planned.status();
+    return outcome;
+  }
+  outcome.status = runtime
+                       .ExecuteAndRecord(*pipeline, planned->aug,
+                                         planned->plan, method.MakeReplanner())
+                       .status();
+  outcome.replans = runtime.monitor().num_replans();
+  return outcome;
+}
+
+TEST(ChaosTest, RecoveryThatProgressesEveryAttemptIsNotCapped) {
+  // Each fit, predict and evaluate task fails on its first run only, and
+  // each one can only run after the previous one succeeded: every attempt
+  // gets one stage further. Such attempts do not count toward the default
+  // bound of 3, so the execution recovers after 5 re-plans.
+  const RecoveryOutcome outcome = RunWithFaults([](const core::Pipeline& p) {
+    storage::FaultPlan plan;
+    for (EdgeId e : p.graph.hypergraph().LiveEdges()) {
+      const core::TaskType type = p.graph.task(e).type;
+      if (type == core::TaskType::kFit || type == core::TaskType::kPredict ||
+          type == core::TaskType::kEvaluate) {
+        plan.schedule.push_back({storage::FaultSite::kCompute,
+                                 p.graph.TaskSignature(e), 0,
+                                 storage::FaultKind::kFail});
+      }
+    }
+    return plan;
+  });
+  EXPECT_TRUE(outcome.status.ok()) << outcome.status;
+  EXPECT_EQ(outcome.replans, 5);
+}
+
+TEST(ChaosTest, NoProgressRecoveryStopsAtTheCap) {
+  // The scaler fit fails on every run. The first attempt still produces
+  // the split and imputed data; after that no attempt adds a payload, and
+  // the third such attempt ends the recovery.
+  const RecoveryOutcome outcome = RunWithFaults([](const core::Pipeline& p) {
+    storage::FaultPlan plan;
+    for (EdgeId e : p.graph.hypergraph().LiveEdges()) {
+      const core::TaskInfo& task = p.graph.task(e);
+      if (task.type == core::TaskType::kFit &&
+          task.logical_op == "StandardScaler") {
+        for (int occurrence = 0; occurrence < 10; ++occurrence) {
+          plan.schedule.push_back({storage::FaultSite::kCompute,
+                                   p.graph.TaskSignature(e), occurrence,
+                                   storage::FaultKind::kFail});
+        }
+      }
+    }
+    return plan;
+  });
+  EXPECT_FALSE(outcome.status.ok());
+  EXPECT_EQ(outcome.replans, 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -228,6 +228,25 @@ TEST(DepthTest, UnreachableIsInfinite) {
   EXPECT_TRUE(std::isinf(depth[static_cast<size_t>(orphan)]));
 }
 
+TEST(DepthTest, CycleNodesStayInfinite) {
+  // a and b derive each other; c is derived from the cycle, d is not.
+  Hypergraph g;
+  NodeId s = g.AddNode();
+  NodeId a = g.AddNode();
+  NodeId b = g.AddNode();
+  NodeId c = g.AddNode();
+  NodeId d = g.AddNode();
+  *g.AddEdge({s, b}, {a});
+  *g.AddEdge({a}, {b});
+  *g.AddEdge({b}, {c});
+  *g.AddEdge({s}, {d});
+  std::vector<double> depth = AverageDepthFromSource(g, s);
+  EXPECT_TRUE(std::isinf(depth[static_cast<size_t>(a)]));
+  EXPECT_TRUE(std::isinf(depth[static_cast<size_t>(b)]));
+  EXPECT_TRUE(std::isinf(depth[static_cast<size_t>(c)]));
+  EXPECT_DOUBLE_EQ(depth[static_cast<size_t>(d)], 1.0);
+}
+
 TEST(DotExportTest, ContainsNodesAndEdges) {
   Fig1Graph f = BuildFig1();
   const std::string dot = f.g.ToDot("fig1");
