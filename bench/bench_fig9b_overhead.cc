@@ -8,12 +8,7 @@
 // (zero rates) at every load/resolver/compute site, versus running with
 // no injector at all. The hooks must stay within noise of the baseline.
 //
-// A third section measures plan-verification overhead under
-// `verify_plans`: the submit-time static pre-check clears plans and
-// skips the executor's CheckPlan re-verification, versus paying the
-// runtime re-check on every execution.
-//
-// A fourth section sweeps history sizes an order of magnitude past the
+// A third section sweeps history sizes an order of magnitude past the
 // execution-driven section (the history is grown synthetically from
 // pipeline structure observations, no execution) and compares the
 // augmenter's indexed equivalence-lookup path against the reference
@@ -127,54 +122,6 @@ double MeasureExecutionSeconds(bool with_injector, int executions,
     method.AfterExecution(*pipeline, *planned, *record).Abort("mat");
   }
   return elapsed / executions;
-}
-
-// Plan-verification overhead with `verify_plans` on: when the static
-// analyzer's submit-time pre-check is enabled it proves the same
-// invariants first and the executor's CheckPlan re-verification is
-// skipped; with static checks off every execution pays the runtime
-// re-check. Both modes run identical work otherwise.
-struct VerifyOverhead {
-  double mean_execute_seconds = 0.0;
-  int64_t static_clears = 0;
-  int64_t plan_checks_skipped = 0;
-};
-
-VerifyOverhead MeasureVerifyOverhead(bool static_checks, int executions,
-                                     double multiplier) {
-  core::RuntimeOptions options;
-  options.storage_budget_bytes = 64ll << 20;
-  options.simulate = true;
-  options.verify_plans = true;
-  options.static_checks = static_checks;
-  core::Runtime runtime(options);
-  const UseCase use_case = UseCase::Higgs();
-  runtime.RegisterDatasetGenerator(
-      use_case.DatasetId(multiplier),
-      [use_case, multiplier]() {
-        return GenerateUseCase(use_case, multiplier, 42);
-      });
-  core::HyppoMethod method(&runtime);
-  PipelineGenerator generator(use_case, multiplier, 42);
-  WallClock clock;
-  VerifyOverhead result;
-  double elapsed = 0.0;
-  for (int i = 0; i < executions; ++i) {
-    auto pipeline = generator.Next();
-    pipeline.status().Abort("generate");
-    auto planned = method.PlanPipeline(*pipeline);
-    planned.status().Abort("plan");
-    Stopwatch watch(clock);
-    auto record =
-        runtime.ExecuteAndRecord(*pipeline, planned->aug, planned->plan);
-    elapsed += watch.Elapsed();
-    record.status().Abort("execute");
-    method.AfterExecution(*pipeline, *planned, *record).Abort("mat");
-  }
-  result.mean_execute_seconds = elapsed / executions;
-  result.static_clears = runtime.monitor().num_static_clears();
-  result.plan_checks_skipped = runtime.monitor().num_plan_checks_skipped();
-  return result;
 }
 
 // Grows a history from pipeline structure alone — the exact observation
@@ -313,41 +260,6 @@ int main(int argc, char** argv) {
       "\nExpected shape: an armed-but-silent injector takes the cold-site\n"
       "fast path (one flag check per task) and stays within noise of the\n"
       "no-injector baseline.\n");
-
-  Banner("Plan-verification overhead (verify_plans on)", "static analyzer");
-  Table verify({"mode", "mean execute time", "checks skipped", "vs runtime"});
-  const VerifyOverhead runtime_check =
-      MeasureVerifyOverhead(/*static_checks=*/false, executions, multiplier);
-  const VerifyOverhead static_skip =
-      MeasureVerifyOverhead(/*static_checks=*/true, executions, multiplier);
-  verify.AddRow({"runtime CheckPlan",
-                 FormatSeconds(runtime_check.mean_execute_seconds),
-                 std::to_string(runtime_check.plan_checks_skipped), "1.0x"});
-  verify.AddRow({"static pre-check skip",
-                 FormatSeconds(static_skip.mean_execute_seconds),
-                 std::to_string(static_skip.plan_checks_skipped),
-                 Speedup(static_skip.mean_execute_seconds,
-                         runtime_check.mean_execute_seconds)});
-  verify.Print();
-  json.AddRow("plan_verify_overhead")
-      .Set("mode", "runtime_checkplan")
-      .Set("executions", executions)
-      .Set("mean_execute_seconds", runtime_check.mean_execute_seconds)
-      .Set("static_clears", static_cast<double>(runtime_check.static_clears))
-      .Set("plan_checks_skipped",
-           static_cast<double>(runtime_check.plan_checks_skipped));
-  json.AddRow("plan_verify_overhead")
-      .Set("mode", "static_precheck_skip")
-      .Set("executions", executions)
-      .Set("mean_execute_seconds", static_skip.mean_execute_seconds)
-      .Set("static_clears", static_cast<double>(static_skip.static_clears))
-      .Set("plan_checks_skipped",
-           static_cast<double>(static_skip.plan_checks_skipped));
-  std::printf(
-      "\nExpected shape: every plan the static pre-check clears skips the\n"
-      "executor's CheckPlan re-verification (checks-skipped column), so\n"
-      "verified execution stays within noise of the baseline while each\n"
-      "plan is proven well-formed before any task runs.\n");
 
   Banner("Indexed equivalence lookup vs reference scan", "large history");
   const std::vector<int> big_histories =

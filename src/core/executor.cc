@@ -1,7 +1,10 @@
 #include "core/executor.h"
 
 #include <algorithm>
-#include <deque>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
+#include <queue>
 #include <utility>
 #include <variant>
 
@@ -13,22 +16,12 @@ namespace hyppo::core {
 
 namespace {
 
-// Splits input payloads by kind in declaration order.
+// Splits input payloads (in tail declaration order) by kind.
 Result<ml::TaskInputs> BindInputs(
     const PipelineGraph& graph, EdgeId edge,
-    const std::map<NodeId, ArtifactPayload>& payloads) {
+    const std::vector<ArtifactPayload>& payloads) {
   ml::TaskInputs inputs;
-  for (NodeId in : graph.ordered_tail(edge)) {
-    if (in == graph.source()) {
-      continue;
-    }
-    auto it = payloads.find(in);
-    if (it == payloads.end()) {
-      return Status::Internal("input artifact '" +
-                              graph.artifact(in).display +
-                              "' has no payload; plan order is broken");
-    }
-    const ArtifactPayload& payload = it->second;
+  for (const ArtifactPayload& payload : payloads) {
     if (const auto* dataset = std::get_if<ml::DatasetPtr>(&payload)) {
       inputs.datasets.push_back(*dataset);
     } else if (const auto* state = std::get_if<ml::OpStatePtr>(&payload)) {
@@ -70,14 +63,21 @@ bool AllHeadsPresent(const std::map<NodeId, ArtifactPayload>& payloads,
   return true;
 }
 
-// Every non-source input has a payload; false means an upstream task
-// failed and this one must be skipped.
-bool TailsPresent(const PipelineGraph& graph, EdgeId edge,
-                  const std::map<NodeId, ArtifactPayload>& payloads) {
+// Copies the payload of every non-source input into `inputs`, in tail
+// declaration order; false means an upstream task failed and this one
+// must be skipped.
+bool GatherInputs(const PipelineGraph& graph, EdgeId edge,
+                  const std::map<NodeId, ArtifactPayload>& payloads,
+                  std::vector<ArtifactPayload>* inputs) {
   for (NodeId in : graph.ordered_tail(edge)) {
-    if (in != graph.source() && payloads.count(in) == 0) {
+    if (in == graph.source()) {
+      continue;
+    }
+    auto it = payloads.find(in);
+    if (it == payloads.end()) {
       return false;
     }
+    inputs->push_back(it->second);
   }
   return true;
 }
@@ -86,7 +86,7 @@ bool TailsPresent(const PipelineGraph& graph, EdgeId edge,
 
 Result<double> Executor::RunLoadTask(
     const PipelineGraph& graph, EdgeId edge,
-    std::map<NodeId, ArtifactPayload>* outputs, const Options& options) const {
+    std::vector<ArtifactPayload>* outputs, const Options& options) const {
   const NodeId head = graph.ordered_head(edge)[0];
   const ArtifactInfo& artifact = graph.artifact(head);
   const bool raw = artifact.kind == ArtifactKind::kRaw;
@@ -120,7 +120,7 @@ Result<double> Executor::RunLoadTask(
           break;
       }
     }
-    (*outputs)[head] = std::monostate{};
+    outputs->emplace_back(std::monostate{});
     return seconds;
   }
   if (raw) {
@@ -138,7 +138,7 @@ Result<double> Executor::RunLoadTask(
     }
     HYPPO_ASSIGN_OR_RETURN(ml::DatasetPtr dataset, resolver_(artifact.display));
     const int64_t bytes = dataset->SizeBytes();
-    (*outputs)[head] = dataset;
+    outputs->emplace_back(dataset);
     return storage::StorageTier::Remote().LoadSeconds(bytes);
   }
   HYPPO_ASSIGN_OR_RETURN(storage::ArtifactStore::Loaded loaded,
@@ -149,14 +149,14 @@ Result<double> Executor::RunLoadTask(
     return Status::IoError("corrupted payload for artifact '" +
                            artifact.display + "'");
   }
-  (*outputs)[head] = std::move(loaded.payload);
+  outputs->push_back(std::move(loaded.payload));
   return loaded.seconds;
 }
 
 Result<double> Executor::RunComputeTask(
     const PipelineGraph& graph, EdgeId edge,
-    const std::map<NodeId, ArtifactPayload>& inputs,
-    std::map<NodeId, ArtifactPayload>* outputs, const Options& options) const {
+    const std::vector<ArtifactPayload>& inputs,
+    std::vector<ArtifactPayload>* outputs, const Options& options) const {
   const TaskInfo& task = graph.task(edge);
   HYPPO_ASSIGN_OR_RETURN(const ml::PhysicalOperator* op,
                          registry_->Get(task.impl));
@@ -164,10 +164,10 @@ Result<double> Executor::RunComputeTask(
   HYPPO_ASSIGN_OR_RETURN(ml::TaskInputs bound,
                          BindInputs(graph, edge, inputs));
   // Grant the operator's kernels the runtime's parallelism for the span
-  // of this call. On a pool worker (parallel executor) the kernels see
+  // of this call. On a pool worker (N-worker executor) the kernels see
   // the nesting and stay serial; results are bitwise identical either
-  // way (see ml/kernels/kernels.h), so serial and parallel schedules
-  // keep producing byte-identical payloads.
+  // way (see ml/kernels/kernels.h), so every worker count keeps
+  // producing byte-identical payloads.
   ml::kernels::KernelOptions kernel_options;
   kernel_options.num_threads = options.kernel_threads > 0
                                    ? options.kernel_threads
@@ -178,10 +178,10 @@ Result<double> Executor::RunComputeTask(
   HYPPO_ASSIGN_OR_RETURN(ml::TaskOutputs produced,
                          op->Execute(ml_task, bound, task.config));
   const double seconds = stopwatch.Elapsed();
-  // Bind outputs to head nodes: flattened in (datasets, states,
-  // predictions, values) order, which matches head declaration order for
-  // every operator in the catalog (each task type emits one kind).
-  std::vector<ArtifactPayload> flat;
+  // Outputs flattened in (datasets, states, predictions, values) order,
+  // which matches head declaration order for every operator in the
+  // catalog (each task type emits one kind).
+  std::vector<ArtifactPayload>& flat = *outputs;
   for (auto& dataset : produced.datasets) {
     flat.emplace_back(std::move(dataset));
   }
@@ -201,16 +201,13 @@ Result<double> Executor::RunComputeTask(
         std::to_string(flat.size()) + " outputs for " +
         std::to_string(heads.size()) + " declared artifacts");
   }
-  for (size_t i = 0; i < heads.size(); ++i) {
-    (*outputs)[heads[i]] = std::move(flat[i]);
-  }
   return seconds;
 }
 
 Result<double> Executor::RunTask(
     const Augmentation& aug, EdgeId edge,
-    const std::map<NodeId, ArtifactPayload>& inputs,
-    std::map<NodeId, ArtifactPayload>* outputs, const Options& options) const {
+    const std::vector<ArtifactPayload>& inputs,
+    std::vector<ArtifactPayload>* outputs, const Options& options) const {
   const PipelineGraph& graph = aug.graph;
   const TaskInfo& task = graph.task(edge);
   if (task.type == TaskType::kLoad) {
@@ -224,9 +221,7 @@ Result<double> Executor::RunTask(
                             TaskTypeToString(task.type) + " failed");
   }
   if (options.simulate) {
-    for (NodeId head : graph.ordered_head(edge)) {
-      (*outputs)[head] = std::monostate{};
-    }
+    outputs->assign(graph.ordered_head(edge).size(), std::monostate{});
     return aug.edge_seconds[static_cast<size_t>(edge)];
   }
   HYPPO_ASSIGN_OR_RETURN(double seconds,
@@ -237,187 +232,6 @@ Result<double> Executor::RunTask(
   return seconds;
 }
 
-Result<Executor::ExecutionResult> Executor::ExecuteSerial(
-    const Augmentation& aug, const Plan& plan,
-    const Options& options) const {
-  const PipelineGraph& graph = aug.graph;
-  HYPPO_ASSIGN_OR_RETURN(
-      std::vector<EdgeId> order,
-      BTopologicalEdgeOrder(graph.hypergraph(), plan.edges,
-                            {graph.source()}));
-  ExecutionResult result;
-  if (options.seed_payloads != nullptr) {
-    result.payloads = *options.seed_payloads;
-  }
-  for (EdgeId edge : order) {
-    // Recovered outputs make the task a no-op.
-    if (options.seed_payloads != nullptr &&
-        AllHeadsPresent(result.payloads, graph.ordered_head(edge))) {
-      ++result.reused_tasks;
-      continue;
-    }
-    // An upstream failure starved this task's inputs: skip, don't abort.
-    if (!TailsPresent(graph, edge, result.payloads)) {
-      result.skipped_edges.push_back(edge);
-      continue;
-    }
-    Result<double> run =
-        RunTask(aug, edge, result.payloads, &result.payloads, options);
-    if (!run.ok()) {
-      result.failures.push_back(TaskFailure{edge, run.status()});
-      continue;
-    }
-    const double seconds = *run;
-    result.total_seconds += seconds;
-    result.task_runs.push_back(TaskRun{edge, seconds});
-    if (monitor_ != nullptr) {
-      const TaskInfo& task = graph.task(edge);
-      int64_t rows = 1;
-      int64_t cols = 1;
-      InputShape(graph, edge, &rows, &cols);
-      monitor_->RecordTask(task.impl, task.type, rows, cols, seconds);
-    }
-  }
-  result.critical_path_seconds = result.total_seconds;
-  return result;
-}
-
-Result<Executor::ExecutionResult> Executor::ExecuteParallel(
-    const Augmentation& aug, const Plan& plan,
-    const Options& options) const {
-  const PipelineGraph& graph = aug.graph;
-  const Hypergraph& hg = graph.hypergraph();
-  // Validate executability up front (same check the serial path performs).
-  HYPPO_RETURN_NOT_OK(
-      BTopologicalEdgeOrder(hg, plan.edges, {graph.source()}).status());
-
-  std::vector<bool> in_plan(static_cast<size_t>(hg.num_edge_slots()), false);
-  std::vector<int32_t> missing_tail(static_cast<size_t>(hg.num_edge_slots()),
-                                    0);
-  for (EdgeId e : plan.edges) {
-    in_plan[static_cast<size_t>(e)] = true;
-    missing_tail[static_cast<size_t>(e)] =
-        static_cast<int32_t>(hg.edge(e).tail.size());
-  }
-  std::vector<bool> available(static_cast<size_t>(hg.num_nodes()), false);
-  std::vector<bool> fired(static_cast<size_t>(hg.num_edge_slots()), false);
-  std::deque<EdgeId> ready;
-  auto mark_available = [&](NodeId node) {
-    if (available[static_cast<size_t>(node)]) {
-      return;
-    }
-    available[static_cast<size_t>(node)] = true;
-    for (EdgeId e : hg.fstar(node)) {
-      if (in_plan[static_cast<size_t>(e)] &&
-          --missing_tail[static_cast<size_t>(e)] == 0) {
-        ready.push_back(e);
-      }
-    }
-  };
-
-  ExecutionResult result;
-  if (options.seed_payloads != nullptr) {
-    result.payloads = *options.seed_payloads;
-  }
-  mark_available(graph.source());
-  // Recovered payloads satisfy consumers even when their producing task
-  // is starved this attempt.
-  for (const auto& [node, payload] : result.payloads) {
-    mark_available(node);
-  }
-  for (EdgeId e : plan.edges) {
-    if (hg.edge(e).tail.empty() && !fired[static_cast<size_t>(e)]) {
-      ready.push_back(e);
-    }
-  }
-
-  ThreadPool pool(options.parallelism);
-  struct WaveOutcome {
-    EdgeId edge = kInvalidEdge;
-    Result<double> seconds = Status::Internal("not run");
-    std::map<NodeId, ArtifactPayload> outputs;
-  };
-  while (!ready.empty()) {
-    // One wave: everything currently ready runs concurrently against the
-    // frozen payload map; outputs merge afterwards.
-    std::vector<EdgeId> candidates(ready.begin(), ready.end());
-    ready.clear();
-    std::vector<EdgeId> wave;
-    wave.reserve(candidates.size());
-    for (EdgeId e : candidates) {
-      if (fired[static_cast<size_t>(e)]) {
-        continue;
-      }
-      fired[static_cast<size_t>(e)] = true;
-      if (options.seed_payloads != nullptr &&
-          AllHeadsPresent(result.payloads, graph.ordered_head(e))) {
-        ++result.reused_tasks;
-        for (NodeId head : graph.ordered_head(e)) {
-          mark_available(head);
-        }
-        continue;
-      }
-      wave.push_back(e);
-    }
-    if (wave.empty()) {
-      continue;
-    }
-    std::vector<WaveOutcome> outcomes(wave.size());
-    for (size_t i = 0; i < wave.size(); ++i) {
-      outcomes[i].edge = wave[i];
-      pool.Submit([this, &aug, &options, &result, &outcomes, i]() {
-        WaveOutcome& outcome = outcomes[i];
-        outcome.seconds = RunTask(aug, outcome.edge, result.payloads,
-                                  &outcome.outputs, options);
-      });
-    }
-    pool.Wait();
-    double wave_max = 0.0;
-    for (WaveOutcome& outcome : outcomes) {
-      if (!outcome.seconds.ok()) {
-        // The task died; its heads stay unavailable so dependants starve
-        // into skipped_edges instead of running on garbage.
-        result.failures.push_back(
-            TaskFailure{outcome.edge, outcome.seconds.status()});
-        continue;
-      }
-      const double seconds = *outcome.seconds;
-      result.total_seconds += seconds;
-      wave_max = std::max(wave_max, seconds);
-      result.task_runs.push_back(TaskRun{outcome.edge, seconds});
-      if (monitor_ != nullptr) {
-        int64_t rows = 1;
-        int64_t cols = 1;
-        InputShape(graph, outcome.edge, &rows, &cols);
-        monitor_->RecordTask(graph.task(outcome.edge).impl,
-                             graph.task(outcome.edge).type, rows, cols,
-                             seconds);
-      }
-      for (auto& [node, payload] : outcome.outputs) {
-        result.payloads[node] = std::move(payload);
-      }
-      for (NodeId head : graph.ordered_head(outcome.edge)) {
-        mark_available(head);
-      }
-    }
-    result.critical_path_seconds += wave_max;
-  }
-  // Plan edges that never became ready were starved by a failure (or
-  // fully covered by recovered payloads).
-  for (EdgeId e : plan.edges) {
-    if (fired[static_cast<size_t>(e)]) {
-      continue;
-    }
-    if (options.seed_payloads != nullptr &&
-        AllHeadsPresent(result.payloads, graph.ordered_head(e))) {
-      ++result.reused_tasks;
-    } else {
-      result.skipped_edges.push_back(e);
-    }
-  }
-  return result;
-}
-
 Result<Executor::ExecutionResult> Executor::Execute(
     const Augmentation& aug, const Plan& plan,
     const Options& options) const {
@@ -426,10 +240,162 @@ Result<Executor::ExecutionResult> Executor::Execute(
         aug, options.targets != nullptr ? *options.targets : aug.targets,
         plan));
   }
-  if (!options.simulate && options.parallelism > 1) {
-    return ExecuteParallel(aug, plan, options);
+  const PipelineGraph& graph = aug.graph;
+  const Hypergraph& hg = graph.hypergraph();
+  HYPPO_ASSIGN_OR_RETURN(
+      std::vector<EdgeId> order,
+      BTopologicalEdgeOrder(hg, plan.edges, {graph.source()}));
+  const auto n = static_cast<int32_t>(order.size());
+
+  enum class Outcome : uint8_t { kRan, kFailed, kReused, kSkipped };
+  struct Slot {
+    int32_t waiting = 0;     // unsettled tasks this one depends on
+    int32_t first_arc = -1;  // this task's dependant list in `arcs`
+    Outcome outcome = Outcome::kSkipped;
+    double seconds = 0.0;
+    Status status;
+  };
+  std::vector<Slot> slots(static_cast<size_t>(n));
+  // Dependant lists as linked arcs: {dependant position, next arc}.
+  std::vector<std::pair<int32_t, int32_t>> arcs;
+  auto depend = [&](int32_t q, int32_t p) {
+    int32_t& first = slots[static_cast<size_t>(q)].first_arc;
+    arcs.emplace_back(p, first);
+    first = static_cast<int32_t>(arcs.size()) - 1;
+    ++slots[static_cast<size_t>(p)].waiting;
+  };
+  // A task depends on the producers of its inputs. With one producer per
+  // node, it then sees the payload map exactly as a run in position order
+  // would, whatever the worker count. A plan with two producers of a node
+  // (verification allows it, with a warning) runs in position order.
+  std::vector<int32_t> producer(static_cast<size_t>(hg.num_nodes()), -1);
+  bool two_producers = false;
+  for (int32_t p = 0; p < n; ++p) {
+    const Hyperedge& edge = hg.edge(order[static_cast<size_t>(p)]);
+    for (NodeId tail : edge.tail) {
+      if (producer[static_cast<size_t>(tail)] >= 0) {
+        depend(producer[static_cast<size_t>(tail)], p);
+      }
+    }
+    for (NodeId head : edge.head) {
+      two_producers = two_producers || producer[static_cast<size_t>(head)] >= 0;
+      producer[static_cast<size_t>(head)] = p;
+    }
   }
-  return ExecuteSerial(aug, plan, options);
+  for (int32_t p = 1; two_producers && p < n; ++p) {
+    depend(p - 1, p);
+  }
+
+  // Ready tasks, lowest position first: one worker runs the plan in
+  // exactly the topological order.
+  std::priority_queue<int32_t, std::vector<int32_t>, std::greater<>> ready;
+  for (int32_t p = 0; p < n; ++p) {
+    if (slots[static_cast<size_t>(p)].waiting == 0) {
+      ready.push(p);
+    }
+  }
+  int32_t num_settled = 0;
+  ExecutionResult result;
+  if (options.seed_payloads != nullptr) {
+    result.payloads = *options.seed_payloads;
+  }
+  const int workers = options.simulate ? 1 : std::max(1, options.parallelism);
+  std::mutex mutex;
+  std::condition_variable changed;
+  // Every worker runs this loop: decide and gather inputs under the lock,
+  // run the task outside it, then merge outputs and ready dependants.
+  auto work = [&]() {
+    std::vector<ArtifactPayload> inputs;
+    std::vector<ArtifactPayload> outputs;
+    std::unique_lock<std::mutex> lock(mutex);
+    for (;;) {
+      changed.wait(lock, [&]() { return !ready.empty() || num_settled == n; });
+      if (ready.empty()) {
+        return;
+      }
+      const int32_t p = ready.top();
+      ready.pop();
+      const EdgeId edge = order[static_cast<size_t>(p)];
+      Slot& slot = slots[static_cast<size_t>(p)];
+      inputs.clear();
+      outputs.clear();
+      if (options.seed_payloads != nullptr &&
+          AllHeadsPresent(result.payloads, graph.ordered_head(edge))) {
+        // Recovered outputs make the task a no-op.
+        slot.outcome = Outcome::kReused;
+      } else if (!GatherInputs(graph, edge, result.payloads, &inputs)) {
+        // An upstream failure starved this task's inputs: skip, don't
+        // abort.
+        slot.outcome = Outcome::kSkipped;
+      } else {
+        lock.unlock();
+        Result<double> run = RunTask(aug, edge, inputs, &outputs, options);
+        lock.lock();
+        if (run.ok()) {
+          slot.outcome = Outcome::kRan;
+          slot.seconds = *run;
+          const std::vector<NodeId>& heads = graph.ordered_head(edge);
+          for (size_t i = 0; i < outputs.size(); ++i) {
+            result.payloads[heads[i]] = std::move(outputs[i]);
+          }
+        } else {
+          // The task died; its heads stay missing, so dependants starve
+          // into skipped_edges instead of running on garbage.
+          slot.outcome = Outcome::kFailed;
+          slot.status = run.status();
+        }
+      }
+      ++num_settled;
+      for (int32_t a = slot.first_arc; a >= 0;
+           a = arcs[static_cast<size_t>(a)].second) {
+        const int32_t d = arcs[static_cast<size_t>(a)].first;
+        if (--slots[static_cast<size_t>(d)].waiting == 0) {
+          ready.push(d);
+        }
+      }
+      changed.notify_all();
+    }
+  };
+  if (workers == 1) {
+    work();
+  } else {
+    ThreadPool pool(workers);
+    for (int i = 0; i < workers; ++i) {
+      pool.Submit(work);
+    }
+    pool.Wait();
+  }
+
+  // Report in position order, so every worker count gives the same
+  // sequences and the same floating-point total.
+  for (int32_t p = 0; p < n; ++p) {
+    const EdgeId edge = order[static_cast<size_t>(p)];
+    const Slot& slot = slots[static_cast<size_t>(p)];
+    switch (slot.outcome) {
+      case Outcome::kReused:
+        ++result.reused_tasks;
+        break;
+      case Outcome::kSkipped:
+        result.skipped_edges.push_back(edge);
+        break;
+      case Outcome::kFailed:
+        result.failures.push_back(TaskFailure{edge, slot.status});
+        break;
+      case Outcome::kRan:
+        result.total_seconds += slot.seconds;
+        result.task_runs.push_back(TaskRun{edge, slot.seconds});
+        if (monitor_ != nullptr) {
+          const TaskInfo& task = graph.task(edge);
+          int64_t rows = 1;
+          int64_t cols = 1;
+          InputShape(graph, edge, &rows, &cols);
+          monitor_->RecordTask(task.impl, task.type, rows, cols,
+                               slot.seconds);
+        }
+        break;
+    }
+  }
+  return result;
 }
 
 }  // namespace hyppo::core

@@ -26,6 +26,11 @@ using DatasetResolver =
 /// artifact payloads to task inputs, runs physical operators (or simulates
 /// them), and reports per-task timings for the monitor and the history.
 ///
+/// One dataflow loop runs every plan: a task becomes ready once the tasks
+/// it depends on have settled, and ready tasks are taken lowest
+/// topological position first. Results are reported in position order, so
+/// every worker count yields the same task runs, failures and total.
+///
 /// Failure model: a task that errors (a lost or corrupted store entry, a
 /// resolver outage, an operator fault) does NOT abort the run. The
 /// executor records the failure, skips the tasks that transitively
@@ -42,12 +47,13 @@ class Executor {
     /// payloads. Used by the planner-scalability experiments and the
     /// paper-scale scenario sweeps.
     bool simulate = false;
-    /// Worker threads for real execution. With > 1, independent plan
-    /// branches (hyperedges whose inputs are all available) run
-    /// concurrently in waves. `total_seconds` semantics are unchanged
-    /// (sum of per-task times — the billable compute the cost model
-    /// prices); `critical_path_seconds` reports the parallel wall time.
-    /// Ignored in simulation mode.
+    /// Worker threads for real execution. 1 runs the dataflow loop
+    /// inline on the calling thread, in topological order. With N > 1, N
+    /// pool workers share the ready queue, so a task starts as soon as its
+    /// own inputs exist, whatever its siblings are still running.
+    /// `total_seconds` stays the sum of per-task times (the billable
+    /// compute the cost model prices) in every case. Ignored in
+    /// simulation mode, which always runs one worker.
     int parallelism = 1;
     /// Thread bound handed to the ML kernel layer (ml/kernels) for the
     /// duration of each operator call: the executor installs a
@@ -97,11 +103,9 @@ class Executor {
 
   struct ExecutionResult {
     /// Total charged time: wall-clock for computes, storage-model time for
-    /// loads (estimates everywhere in simulation mode).
+    /// loads (estimates everywhere in simulation mode), summed in
+    /// topological position order.
     double total_seconds = 0.0;
-    /// Wall time along the parallel schedule (== total_seconds for serial
-    /// execution).
-    double critical_path_seconds = 0.0;
     std::vector<TaskRun> task_runs;
     /// Payload per produced/loaded artifact node (includes seeded
     /// payloads).
@@ -135,30 +139,23 @@ class Executor {
   void set_store(storage::ArtifactStore* store) { store_ = store; }
 
  private:
-  /// Runs one task reading inputs from `inputs` and writing produced
-  /// payloads into `outputs` (which may alias `inputs` in serial mode;
-  /// parallel waves use private output fragments merged afterwards).
-  /// Dispatches on task type and simulation mode and applies the fault
-  /// hooks.
+  /// Runs one task on private copies of its input payloads (`inputs`, in
+  /// tail declaration order, source excluded) and returns what it produced
+  /// in `outputs`, in head declaration order, so it needs no lock; the
+  /// loop merges the outputs afterwards. Dispatches on task type and
+  /// simulation mode and applies the fault hooks.
   Result<double> RunTask(const Augmentation& aug, EdgeId edge,
-                         const std::map<NodeId, ArtifactPayload>& inputs,
-                         std::map<NodeId, ArtifactPayload>* outputs,
+                         const std::vector<ArtifactPayload>& inputs,
+                         std::vector<ArtifactPayload>* outputs,
                          const Options& options) const;
 
   Result<double> RunLoadTask(const PipelineGraph& graph, EdgeId edge,
-                             std::map<NodeId, ArtifactPayload>* outputs,
+                             std::vector<ArtifactPayload>* outputs,
                              const Options& options) const;
   Result<double> RunComputeTask(const PipelineGraph& graph, EdgeId edge,
-                                const std::map<NodeId, ArtifactPayload>& inputs,
-                                std::map<NodeId, ArtifactPayload>* outputs,
+                                const std::vector<ArtifactPayload>& inputs,
+                                std::vector<ArtifactPayload>* outputs,
                                 const Options& options) const;
-
-  Result<ExecutionResult> ExecuteSerial(const Augmentation& aug,
-                                        const Plan& plan,
-                                        const Options& options) const;
-  Result<ExecutionResult> ExecuteParallel(const Augmentation& aug,
-                                          const Plan& plan,
-                                          const Options& options) const;
 
   storage::ArtifactStore* store_;
   DatasetResolver resolver_;

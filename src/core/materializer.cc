@@ -155,8 +155,9 @@ Materializer::Decision Materializer::Decide(
     int64_t size;
   };
   // Shared precomputations (Gain() recomputes them per node; for the
-  // decision sweep we hoist them out).
-  const Costs costs = ComputeCosts(history);
+  // decision sweep we hoist them out). Only SPF reads them.
+  const Costs costs =
+      options.policy == Policy::kSpf ? ComputeCosts(history) : Costs{};
   // Per-node flags instead of name lookups in the candidate sweep.
   std::vector<char> can_store(static_cast<size_t>(graph.num_artifacts()), 0);
   for (const std::string& name : storable) {

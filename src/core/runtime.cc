@@ -5,7 +5,6 @@
 #include <set>
 #include <thread>
 
-#include "analysis/graph_checks.h"
 #include "ml/kernels/kernels.h"
 #include "analysis/static/static_analyzer.h"
 #include "core/history_io.h"
@@ -16,9 +15,6 @@ namespace hyppo::core {
 
 namespace {
 
-// Static plan pre-check mirroring exactly what the executor's
-// VerifyPlanStructure would verify (structure + claimed cost totals): a
-// plan that clears here can provably skip the runtime re-verification.
 // Writer-side guard of the serving catalog lock (see
 // Runtime::set_catalog_mutex); a no-op when no lock is installed, so the
 // single-owner path stays lock-free.
@@ -40,25 +36,6 @@ class CatalogWriteLock {
  private:
   std::shared_mutex* mutex_;
 };
-
-bool StaticPlanPrecheck(const Augmentation& aug,
-                        const std::vector<NodeId>& targets,
-                        const Plan& plan) {
-  const analysis::StaticAnalyzer analyzer;
-  analysis::AnalysisReport report =
-      analyzer.CheckCostMonotonicity(aug.edge_weight, aug.edge_seconds);
-  analysis::PlanSpec spec;
-  spec.graph = &aug.graph.hypergraph();
-  spec.edges = &plan.edges;
-  spec.source = aug.graph.source();
-  spec.targets = &targets;
-  spec.edge_weight = &aug.edge_weight;
-  spec.claimed_cost = plan.cost;
-  spec.edge_seconds = &aug.edge_seconds;
-  spec.claimed_seconds = plan.seconds;
-  report.Merge(analysis::CheckPlanStructure(spec));
-  return report.ok();
-}
 
 }  // namespace
 
@@ -170,17 +147,6 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
   exec_options.targets = &targets;
   exec_options.fault_injector = fault_injector_.get();
 
-  // Statically-cleared plans skip the executor's re-verification: the
-  // pre-check proves the same invariants once, up front. Plans the
-  // pre-check cannot clear fall back to the configured behavior.
-  if (options_.static_checks && StaticPlanPrecheck(aug, targets, plan)) {
-    monitor_.RecordStaticClear();
-    if (exec_options.verify_plans) {
-      exec_options.verify_plans = false;
-      monitor_.RecordPlanCheckSkipped();
-    }
-  }
-
   const int64_t faults_before =
       fault_injector_ ? fault_injector_->counters().total() : 0;
 
@@ -262,17 +228,6 @@ Result<Runtime::ExecutionRecord> Runtime::ExecuteInternal(
     ++record.replans;
     monitor_.RecordReplan();
     HYPPO_ASSIGN_OR_RETURN(current_plan, replan(degraded));
-    // Re-planned plans are new objects: pre-check each one afresh before
-    // deciding whether this attempt may skip the executor verification.
-    exec_options.verify_plans = options_.verify_plans;
-    if (options_.static_checks &&
-        StaticPlanPrecheck(degraded, targets, current_plan)) {
-      monitor_.RecordStaticClear();
-      if (exec_options.verify_plans) {
-        exec_options.verify_plans = false;
-        monitor_.RecordPlanCheckSkipped();
-      }
-    }
     exec_options.seed_payloads = &surviving;
   }
   if (fault_injector_) {

@@ -55,10 +55,9 @@ struct RuntimeOptions {
   bool verify_plans = false;
   /// Submit-time static analysis (analysis/static): pipelines are
   /// shape-checked and determinism-linted before any planning, rejecting
-  /// malformed submissions fail-fast with source-located diagnostics. A
-  /// plan the static pre-check clears also skips the runtime
-  /// `verify_plans` re-verification (Monitor::num_plan_checks_skipped),
-  /// since the pre-check proves the same invariants.
+  /// malformed submissions fail-fast with source-located diagnostics.
+  /// Plan verification is `verify_plans` alone; this flag does not touch
+  /// it.
   bool static_checks = true;
   /// Self-healing bound: how many degrade-and-re-plan rounds that produce
   /// no new payload one execution may take after task failures before the
@@ -266,8 +265,8 @@ class Runtime {
   /// size drifted) are dropped.
   Status RestoreSession();
   /// Executes `plan` over `aug` on behalf of a caller whose goal is
-  /// `targets`: the static pre-check and the executor's plan verification
-  /// require exactly these targets, not `aug.targets`. Single-pipeline
+  /// `targets`: the executor's plan verification requires exactly these
+  /// targets, not `aug.targets`. Single-pipeline
   /// callers pass `aug.targets`; a batch member passes its own targets
   /// while reading the shared merged augmentation by const reference.
   /// Only recovery copies `aug`: the degraded copy takes `targets` before

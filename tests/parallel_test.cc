@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <vector>
 
 #include "common/thread_pool.h"
 #include "core/executor.h"
 #include "core/hyppo.h"
 #include "core/pipeline_builder.h"
+#include "hypergraph/algorithms.h"
 #include "workload/datagen.h"
 
 namespace hyppo {
@@ -52,8 +59,8 @@ TEST(ThreadPoolTest, SingleThreadDegenerate) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel plan execution: identical results to serial execution, fewer
-// wall-clock waves than tasks.
+// Parallel plan execution: identical results to serial execution, and no
+// barrier between independent branches.
 
 class ParallelExecutorTest : public ::testing::Test {
  protected:
@@ -140,9 +147,6 @@ TEST_F(ParallelExecutorTest, MatchesSerialResults) {
   }
   EXPECT_EQ(parallel_result->task_runs.size(),
             serial_result->task_runs.size());
-  // The parallel schedule's critical path is no longer than the total.
-  EXPECT_LE(parallel_result->critical_path_seconds,
-            parallel_result->total_seconds + 1e-12);
 }
 
 TEST_F(ParallelExecutorTest, FailureInOneBranchSurfaces) {
@@ -169,6 +173,127 @@ TEST_F(ParallelExecutorTest, FailureInOneBranchSurfaces) {
   EXPECT_FALSE(result->complete());
   // The healthy branch still produced its payloads.
   EXPECT_FALSE(result->payloads.empty());
+}
+
+// Opens once. Waiters give up after a timeout, so an executor that holds
+// one branch back until the other finishes fails the test instead of
+// hanging it.
+class Latch {
+ public:
+  void Open() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    open_ = true;
+    opened_.notify_all();
+  }
+  bool WaitFor(std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return opened_.wait_for(lock, timeout, [this]() { return open_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable opened_;
+  bool open_ = false;
+};
+
+// "test.<logical_op>": fit yields an empty state, transform passes its
+// dataset through. The waiting fit blocks on the latch; the opening
+// transform opens it.
+class LatchOp final : public ml::PhysicalOperator {
+ public:
+  enum class Role { kWaitInFit, kOpenInTransform };
+  LatchOp(std::string logical_op, Latch* latch, Role role)
+      : PhysicalOperator(std::move(logical_op), "test"),
+        latch_(latch),
+        role_(role) {}
+
+  bool SupportsTask(ml::MlTask task) const override {
+    return task == ml::MlTask::kFit || task == ml::MlTask::kTransform;
+  }
+
+  Result<ml::TaskOutputs> Execute(ml::MlTask task,
+                                  const ml::TaskInputs& inputs,
+                                  const ml::Config&) const override {
+    ml::TaskOutputs outputs;
+    if (task == ml::MlTask::kFit) {
+      if (role_ == Role::kWaitInFit &&
+          !latch_->WaitFor(std::chrono::seconds(10))) {
+        return Status::Internal("latch never opened");
+      }
+      outputs.states.push_back(std::make_shared<ml::VectorState>(logical_op()));
+      return outputs;
+    }
+    if (role_ == Role::kOpenInTransform) {
+      latch_->Open();
+    }
+    outputs.datasets.push_back(inputs.datasets.at(0));
+    return outputs;
+  }
+
+ private:
+  Latch* latch_;
+  Role role_;
+};
+
+// Branch A is one fit that waits for branch B's second task (a transform
+// consuming B's fit). An executor that runs ready tasks in waves puts A and
+// B's fit in one wave, so B's transform cannot start until A gives up; with
+// a shared ready queue the second worker runs B through while A waits. B
+// thus finishes before A, yet the result still lists tasks, and sums their
+// charges, in topological position order.
+TEST_F(ParallelExecutorTest, NoBarrierBetweenIndependentBranches) {
+  Latch latch;
+  ml::OperatorRegistry registry;
+  ASSERT_TRUE(registry
+                  .Register(std::make_unique<LatchOp>(
+                      "Waiter", &latch, LatchOp::Role::kWaitInFit))
+                  .ok());
+  ASSERT_TRUE(registry
+                  .Register(std::make_unique<LatchOp>(
+                      "Opener", &latch, LatchOp::Role::kOpenInTransform))
+                  .ok());
+  core::PipelineBuilder builder("no-barrier");
+  const NodeId data = *builder.LoadDataset("latch-data", 100, 4);
+  ASSERT_TRUE(builder.Fit("Waiter", "test.Waiter", data).ok());
+  const NodeId opener = *builder.Fit("Opener", "test.Opener", data);
+  ASSERT_TRUE(builder.Transform(opener, data).ok());
+  const core::Pipeline pipeline = *std::move(builder).Build();
+  core::Augmentation aug = AsAugmentation(pipeline);
+  // Charges whose sum differs between position order and B-before-A
+  // completion order.
+  for (size_t e = 0; e < aug.edge_seconds.size(); ++e) {
+    aug.edge_seconds[e] = 0.1 / static_cast<double>(e + 1);
+  }
+  core::Plan plan;
+  plan.edges = aug.graph.hypergraph().LiveEdges();
+
+  storage::InMemoryArtifactStore store;
+  core::Monitor monitor;
+  core::Executor executor(
+      &store,
+      [](const std::string&) -> Result<ml::DatasetPtr> {
+        return workload::GenerateHiggs(100, 4, 3);
+      },
+      &monitor, &registry);
+  core::Executor::Options options;
+  options.parallelism = 2;
+  options.charge_estimates = true;
+  auto result = executor.Execute(aug, plan, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(result->failures.empty()) << result->failures[0].status;
+  EXPECT_TRUE(result->complete());
+
+  auto order = BTopologicalEdgeOrder(aug.graph.hypergraph(), plan.edges,
+                                     {aug.graph.source()});
+  ASSERT_TRUE(order.ok()) << order.status();
+  std::vector<EdgeId> ran;
+  double position_sum = 0.0;
+  for (const auto& run : result->task_runs) {
+    ran.push_back(run.edge);
+    position_sum += run.seconds;
+  }
+  EXPECT_EQ(ran, *order);
+  EXPECT_EQ(result->total_seconds, position_sum);
 }
 
 TEST_F(ParallelExecutorTest, RuntimeLevelParallelismEndToEnd) {
